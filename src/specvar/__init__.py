@@ -10,7 +10,7 @@ independently approximate each of those objects for cross-validation.
 
 __version__ = "0.1.0"
 
-from .errors import EigenSolveError, InvalidSubgradientError, UnsupportedPointError
+from .errors import EigenSolveError, InvalidSubgradientError, OracleError, UnsupportedPointError
 from .extreal import POS_INF, ExtReal, ext_sum
 from .symmat import (
     BlockPermutation,
@@ -33,7 +33,6 @@ from .symfun import (
     SmoothSep,
     SubgradientSet,
     SymmetricFunction,
-    ThetaSecondOrder,
     spec_from_json,
     spec_to_json,
 )
@@ -80,6 +79,7 @@ __all__ = [
     "__version__",
     "EigenSolveError",
     "InvalidSubgradientError",
+    "OracleError",
     "UnsupportedPointError",
     "ExtReal",
     "POS_INF",
@@ -104,7 +104,6 @@ __all__ = [
     "SmoothSep",
     "SubgradientSet",
     "GqfCertificate",
-    "ThetaSecondOrder",
     "ProxResult",
     "spec_from_json",
     "spec_to_json",

@@ -15,3 +15,7 @@ class InvalidSubgradientError(ValueError):
 
 class EigenSolveError(RuntimeError):
     """The dense symmetric eigensolver failed to converge."""
+
+
+class OracleError(ValueError):
+    """A brute-force oracle had no grid level or no finite value to use."""

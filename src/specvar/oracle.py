@@ -30,11 +30,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
+from .errors import OracleError
 from .extreal import POS_INF, ExtReal
 
 ATTAINMENT_TOL = 1e-2
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on first use: most calls never need it."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def _as_point(x) -> np.ndarray:
@@ -199,7 +206,8 @@ def numeric_subderivative(
             q = POS_INF if math.isinf(fv) else ExtReal((fv - f0) / t)
             if best is None or q < best:
                 best = q
-    assert best is not None
+    if best is None:
+        raise OracleError("numeric_subderivative needs at least one grid level")
     return best
 
 
@@ -386,6 +394,8 @@ def numeric_prox(
                 lo, hi = x0 - 2 * radius, x0 + 2 * radius
             else:
                 widened = True
+        from scipy.optimize import minimize_scalar
+
         res = minimize_scalar(
             lambda z: obj(np.asarray(z)),
             bounds=(w_best - 2 * step, w_best + 2 * step),
@@ -446,5 +456,6 @@ def numeric_prox(
         if float(res.fun) < best_v:
             best_v = float(res.fun)
             best_z = np.asarray(res.x)
-    assert best_z is not None
+    if best_z is None:
+        raise OracleError("numeric_prox: every search ended at a non-finite objective")
     return NumericProxResult(unpack(best_z), best_v, False)

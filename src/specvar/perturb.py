@@ -1,11 +1,9 @@
 """Directional behavior of ordered eigenvalues under symmetric perturbation.
 
-For a perturbation direction H, the first-order movement of the eigenvalues
-inside cluster m is given by the ordered spectrum of the compression
-U_m^T H U_m; stacking the per-cluster spectra (each nonincreasing) yields
-the directional derivative of the full eigenvalue map.  The second-order
-prediction additionally routes H through the shifted pseudoinverse of the
-cluster, which captures the curvature induced by the other clusters.
+Everything is read off one rotation of the direction, Ht = U^T H U: the
+first-order movement of the eigenvalues in cluster m is the ordered
+spectrum of Ht_mm, and second-order terms add the divided differences
+1 / (mu_m - mu_s), the eigenbasis entries of (mu_m I - X)^+.
 """
 from __future__ import annotations
 
@@ -13,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symmat import EigenSystem, as_sym_array, pinv_shift
+from .symmat import EigenSystem, as_sym_array, fan_gap
 
 
 @dataclass(frozen=True)
@@ -28,43 +26,67 @@ class EigDirDeriv:
     vector: np.ndarray
 
 
-def _desc_eigvals(a: np.ndarray) -> np.ndarray:
-    return np.sort(np.linalg.eigvalsh((a + a.T) / 2.0))[::-1]
+@dataclass(frozen=True)
+class _Rotated:
+    """A direction H in the eigenbasis of X: ``ht`` = U^T H U, symmetrized;
+    ``inv_gap[j, k]`` = 1 / (mu_b(j) - mu_b(k)), 0 within a cluster, so row j
+    is the diagonal of U^T (mu_b(j) I - X)^+ U; ``dd`` = eig_dir_derivative."""
+
+    es: EigenSystem
+    ht: np.ndarray
+    inv_gap: np.ndarray
+    dd: EigDirDeriv
+
+    def coupling(self) -> np.ndarray:
+        """(U^T H (mu_b(j) I - X)^+ H U)_jj = sum_k Ht_jk^2 inv_gap[j, k]."""
+        return np.sum(self.ht**2 * self.inv_gap, axis=1)
+
+    def fan_gaps(self, y: np.ndarray) -> np.ndarray:
+        """Fan gap of Diag(y)_mm against Ht_mm per cluster; 0 for singletons."""
+        gaps = np.zeros(self.es.r)
+        for m, b in enumerate(self.es.blocks):
+            if len(b) > 1:
+                gaps[m] = fan_gap(np.diag(y[b]), self.ht[np.ix_(b, b)])
+        return gaps
+
+
+def _rotate(es: EigenSystem, h) -> _Rotated:
+    hm = as_sym_array(h)
+    if hm.shape != (es.n, es.n):
+        raise ValueError(f"direction must be {es.n}x{es.n}, got {hm.shape}")
+    ht = es.u.T @ hm @ es.u
+    ht = (ht + ht.T) / 2.0
+    ids = es.block_ids
+    mu = es.mu[ids]
+    inv_gap = np.zeros((es.n, es.n))
+    np.divide(1.0, mu[:, None] - mu[None, :], out=inv_gap, where=ids[:, None] != ids[None, :])
+    vector = np.diag(ht).copy()
+    for b in es.blocks:
+        if len(b) > 1:
+            vector[b] = np.linalg.eigvalsh(ht[np.ix_(b, b)])[::-1]
+    per_block = np.split(vector, [b.stop for b in es.blocks[:-1]])
+    return _Rotated(es, ht, inv_gap, EigDirDeriv(tuple(per_block), vector))
 
 
 def eig_dir_derivative(es: EigenSystem, h) -> EigDirDeriv:
     """First-order movement of all eigenvalues in direction ``h``."""
-    hm = as_sym_array(h)
-    if hm.shape != (es.n, es.n):
-        raise ValueError(f"direction must be {es.n}x{es.n}, got {hm.shape}")
-    per_block = []
-    vector = np.empty(es.n)
-    for m, b in enumerate(es.blocks):
-        um = es.block_basis(m)
-        d = _desc_eigvals(um.T @ hm @ um)
-        per_block.append(d)
-        vector[b] = d
-    return EigDirDeriv(tuple(per_block), vector)
+    return _rotate(es, h).dd
 
 
 def eig_second_prediction(es: EigenSystem, h, t: float) -> np.ndarray:
     """Second-order prediction of the eigenvalues of X + t h.
 
     Cluster m is predicted as mu_m plus the ordered spectrum of
-    U_m^T (tH) U_m + U_m^T (tH) (mu_m I - X)^+ (tH) U_m; the residual
-    against the exact eigenvalues decays cubically in t.
+    U_m^T (tH) U_m + U_m^T (tH) (mu_m I - X)^+ (tH) U_m, taken in the
+    eigenbasis; the residual against the exact eigenvalues decays cubically.
     """
-    hm = as_sym_array(h)
-    if hm.shape != (es.n, es.n):
-        raise ValueError(f"direction must be {es.n}x{es.n}, got {hm.shape}")
-    t = float(t)
-    th = t * hm
-    out = np.empty(es.n)
+    rot = _rotate(es, h)
+    t, ht = float(t), rot.ht
+    out = es.mu[es.block_ids] + t * np.diag(ht) + t * t * rot.coupling()
     for m, b in enumerate(es.blocks):
-        um = es.block_basis(m)
-        pm = pinv_shift(es, m).entries
-        core = um.T @ th @ um + um.T @ th @ pm @ th @ um
-        out[b] = es.mu[m] + _desc_eigvals(core)
+        if len(b) > 1:
+            core = t * ht[np.ix_(b, b)] + t * t * (ht[b, :] * rot.inv_gap[b.start]) @ ht[:, b]
+            out[b] = es.mu[m] + np.linalg.eigvalsh(core)[::-1]
     return out
 
 

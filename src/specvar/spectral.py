@@ -4,8 +4,9 @@ Given a symmetric penalty theta on R^n, its spectral lift acts on real
 symmetric matrices through the nonincreasing eigenvalue vector.  Everything
 first- and second-order about the lift reduces to theta along the spectrum,
 plus one genuinely matrix-level ingredient: directions that rotate
-eigenspaces pick up curvature through the shifted pseudoinverses
-(mu_m I - X)^+ of the eigenvalue clusters.
+eigenspaces pick up curvature from the gaps between eigenvalue clusters,
+read off one rotation Ht = U^T H U per (X, H) in the divided-difference
+form of Lewis and Sendov (SIMAX 2001); see curvature_correction.
 
 The exported pieces:
 
@@ -39,7 +40,7 @@ import numpy as np
 from .errors import UnsupportedPointError
 from .extreal import POS_INF, ExtReal
 from .oracle import QuotientProbe, numeric_second_subderivative
-from .perturb import eig_dir_derivative
+from .perturb import _rotate, _Rotated, eig_dir_derivative
 from .symmat import (
     FAN_TOL,
     BlockPermutation,
@@ -48,13 +49,11 @@ from .symmat import (
     as_sym_array,
     block_sort_permutation,
     eig,
-    fan_gap,
-    pinv_shift,
 )
 from .symfun import OrderStat, SymmetricFunction, spec_to_json
 
 PROX_DIR_TOL = 1e-4
-SEMIDERIV_CHECK_RTOL = 1e-8
+SEMIDERIV_CHECK_RTOL = 1e-8  # semiderivative vs general d2 at the gradient, in the tests
 
 
 def _as_eigensystem(x, cluster_tol: float | None = None) -> EigenSystem:
@@ -140,25 +139,26 @@ def subderivative_gap(
     return dg - pairing
 
 
+def _in_critical_cone(theta: SymmetricFunction, triple: SubgradientTriple, rot: _Rotated) -> bool:
+    """Both halves of the structural cone test, for a checked subgradient."""
+    if not theta._in_cone(rot.es.lam, triple.v, rot.dd.vector):
+        return False
+    return bool(np.all(rot.fan_gaps(triple.y) <= FAN_TOL))
+
+
 def curvature_correction(x, y, h, cluster_tol: float | None = None) -> float:
     """Cluster curvature term of the second subderivative:
 
-        2 sum_m < Diag(y)_mm , U_m^T H (mu_m I - X)^+ H U_m >.
+        2 sum_m < Diag(y)_mm , U_m^T H (mu_m I - X)^+ H U_m >
+          = 2 sum_j y_j sum_{k not in block(j)} Ht_jk^2 / (mu_b(j) - mu_b(k)).
 
     Uses the raw weight vector y; only directions that rotate eigenspaces
     across clusters contribute."""
     es = _as_eigensystem(x, cluster_tol)
-    hm = as_sym_array(h)
     y = np.asarray(y, dtype=float)
     if y.shape != (es.n,):
         raise ValueError(f"weight vector must have length {es.n}, got {y.shape}")
-    total = 0.0
-    for m, b in enumerate(es.blocks):
-        um = es.block_basis(m)
-        pm = pinv_shift(es, m).entries
-        core = um.T @ hm @ pm @ hm @ um
-        total += 2.0 * float(y[b] @ np.diag(core))
-    return total
+    return 2.0 * float(y @ _rotate(es, h).coupling())
 
 
 def fan_block_gaps(x, y, h, cluster_tol: float | None = None) -> np.ndarray:
@@ -166,14 +166,7 @@ def fan_block_gaps(x, y, h, cluster_tol: float | None = None) -> np.ndarray:
 
     Each gap is nonnegative; simultaneous vanishing is the matrix half of
     the critical cone condition."""
-    es = _as_eigensystem(x, cluster_tol)
-    hm = as_sym_array(h)
-    y = np.asarray(y, dtype=float)
-    gaps = np.empty(es.r)
-    for m, b in enumerate(es.blocks):
-        um = es.block_basis(m)
-        gaps[m] = fan_gap(np.diag(y[b]), um.T @ hm @ um)
-    return gaps
+    return _rotate(_as_eigensystem(x, cluster_tol), h).fan_gaps(np.asarray(y, dtype=float))
 
 
 def critical_cone_member(
@@ -191,28 +184,26 @@ def critical_cone_member(
     of h.  The conjunction is equivalent to dg(X)(H) = <Y, H> because both
     residuals are nonnegative."""
     es = _as_eigensystem(x, cluster_tol)
-    hm = as_sym_array(h)
-    dd = eig_dir_derivative(es, hm)
-    if not theta.critical_cone_member(es.lam, triple.v, dd.vector):
-        return False
-    gaps = fan_block_gaps(es, triple.y, hm)
-    return bool(np.all(gaps <= FAN_TOL))
+    theta.check_subgradient(es.lam, triple.v)
+    return _in_critical_cone(theta, triple, _rotate(es, h))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SecondOrderReport:
     """Everything the second-order analysis at (X, Y, H) produced.
 
     ``curvature_correction`` and ``theta_d2`` are reported even when the
     direction is not critical (the former is an unconditional quadratic in
     H); ``d2`` is +infinity off the critical cone regardless, so that a
-    finite d2 always certifies criticality."""
+    finite d2 always certifies criticality.  Callers may keep many reports,
+    so ``direction`` is the caller's array (not a copy) and the clusters are
+    stored as one bounds array, cluster m covering block_bounds[m:m + 2]."""
 
     theta: dict
     n: int
     direction: np.ndarray
     spectrum: np.ndarray
-    block_ranges: tuple[tuple[int, int], ...]
+    block_bounds: np.ndarray
     cluster_values: np.ndarray
     ambiguous_clustering: bool
     y: np.ndarray
@@ -228,6 +219,11 @@ class SecondOrderReport:
     d2: ExtReal
     oracle_d2: ExtReal | None = None
     oracle_gap: float | None = None
+
+    @property
+    def block_ranges(self) -> tuple[tuple[int, int], ...]:
+        b = self.block_bounds.tolist()
+        return tuple(zip(b[:-1], b[1:]))
 
 
 def spectral_second_subderivative(
@@ -248,13 +244,14 @@ def spectral_second_subderivative(
     numbers."""
     es = _as_eigensystem(x, cluster_tol)
     hm = as_sym_array(h)
-    dd = eig_dir_derivative(es, hm)
+    rot = _rotate(es, hm)
+    dd = rot.dd
     dg = theta.subderivative(es.lam, dd.vector)
-    pairing = float(np.vdot(triple.matrix.entries, hm))
-    gaps = fan_block_gaps(es, triple.y, hm)
-    in_cone = critical_cone_member(theta, es, triple, hm)
-    theta_d2 = theta.second_subderivative(es.lam, triple.v, dd.vector)
-    corr = curvature_correction(es, triple.y, hm)
+    pairing = float(triple.y @ np.diag(rot.ht))
+    gaps = rot.fan_gaps(triple.y)
+    theta_d2 = theta.second_subderivative(es.lam, triple.v, dd.vector)  # checks v
+    in_cone = theta._in_cone(es.lam, triple.v, dd.vector) and bool(np.all(gaps <= FAN_TOL))
+    corr = 2.0 * float(triple.y @ rot.coupling())
     d2 = theta_d2 + corr if in_cone else POS_INF
     oracle_d2 = None
     oracle_gap = None
@@ -268,9 +265,9 @@ def spectral_second_subderivative(
     return SecondOrderReport(
         theta=spec_to_json(theta),
         n=es.n,
-        direction=np.array(hm),
+        direction=hm,
         spectrum=es.lam.copy(),
-        block_ranges=tuple((b.start, b.stop) for b in es.blocks),
+        block_bounds=np.array([b.start for b in es.blocks] + [es.n]),
         cluster_values=es.mu.copy(),
         ambiguous_clustering=es.ambiguous,
         y=triple.y.copy(),
@@ -309,16 +306,14 @@ def leading_eig_second_subderivative(
     m = i - 1
     theta = OrderStat(rank=es.blocks[m].start + 1)
     theta.check_subgradient(es.lam, triple.v)
-    off = [j for j in range(es.n) if not es.blocks[m].start <= j < es.blocks[m].stop]
-    if off and float(np.max(np.abs(triple.y[off]))) > 1e-12:
+    if np.any(np.abs(np.delete(triple.y, es.blocks[m])) > 1e-12):
         raise UnsupportedPointError(
             f"subgradient weights must be supported on cluster {i}"
         )
-    if not critical_cone_member(theta, es, triple, h):
+    rot = _rotate(es, h)
+    if not _in_critical_cone(theta, triple, rot):
         return POS_INF
-    hm = as_sym_array(h)
-    pm = pinv_shift(es, m).entries
-    return ExtReal(2.0 * float(np.vdot(triple.matrix.entries, hm @ pm @ hm)))
+    return ExtReal(2.0 * float(triple.y @ (rot.ht**2 @ rot.inv_gap[es.blocks[m].start])))
 
 
 def second_semiderivative(
@@ -335,16 +330,8 @@ def second_semiderivative(
     es = _as_eigensystem(x, cluster_tol)
     grad = theta.gradient(es.lam)
     hess = theta.hessian_diagonal(es.lam)
-    dd = eig_dir_derivative(es, h)
-    corr = curvature_correction(es, grad, h)
-    semi = float(hess @ (dd.vector**2)) + corr
-    # The smooth branch must coincide with the general second subderivative
-    # taken at the gradient; a drift here means the two formulas diverged.
-    triple = spectral_subgradient(theta, es, grad)
-    general = spectral_second_subderivative(theta, es, triple, h).d2
-    assert general.is_finite
-    assert abs(float(general) - semi) <= SEMIDERIV_CHECK_RTOL * (1.0 + abs(semi))
-    return semi
+    rot = _rotate(es, h)
+    return float(hess @ (rot.dd.vector**2) + 2.0 * grad @ rot.coupling())
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,8 @@ eigenvalue clustering scale upstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import linprog
 
 from .errors import InvalidSubgradientError, UnsupportedPointError
 from .extreal import POS_INF, ExtReal
@@ -48,6 +45,13 @@ def _vec(x) -> np.ndarray:
 def _tie_tol(x: np.ndarray) -> float:
     scale = float(np.max(np.abs(x))) if x.size else 0.0
     return 1e-8 * (1.0 + scale)
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on first use: most calls never need it."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 def _hull_fit(vertices: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -128,7 +132,17 @@ class SubgradientSet:
             return bool(
                 np.all(y >= self.lower - tol) and np.all(y <= self.upper + tol)
             )
-        _, resid = _hull_fit(self.vertices, y)
+        v = np.asarray(self.vertices)
+        if len(v) == 1:  # a single point: no LP needed
+            return bool(np.max(np.abs(y - v[0])) <= tol)
+        if np.all((v == 0.0) | (v == 1.0)) and np.all(v.sum(axis=1) == 1.0):
+            # conv{e_i : i in S}: y is tol-close to 0 off S and to some
+            # simplex point on S, i.e. the tol-box around y_S meets it
+            on = v.any(axis=0)
+            lo, hi = np.maximum(y[on] - tol, 0.0), y[on] + tol
+            off = np.max(np.abs(y[~on]), initial=0.0)
+            return bool(off <= tol and hi.min() >= 0.0 and lo.sum() <= 1.0 <= hi.sum())
+        _, resid = _hull_fit(v, y)
         return resid <= tol
 
     def canonical_vertex(self) -> np.ndarray:
@@ -150,15 +164,6 @@ class GqfCertificate:
 
     is_gqf: bool
     subspace_basis: np.ndarray | None
-
-
-@dataclass(frozen=True)
-class ThetaSecondOrder:
-    """Second-order bundle at a fixed point and subgradient: the second
-    subderivative as a callable, plus the critical cone membership test."""
-
-    d2: Callable[[np.ndarray], ExtReal]
-    in_cone: Callable[[np.ndarray], bool]
 
 
 @dataclass(frozen=True)
@@ -208,17 +213,12 @@ class SymmetricFunction:
         y = _vec(y)
         w = _vec(w)
         self.check_subgradient(x, y)
+        return self._in_cone(x, y, w)
+
+    def _in_cone(self, x, y, w) -> bool:
+        """critical_cone_member on vectors, for a y already checked."""
         resid = abs(self.subderivative(x, w) - float(y @ w))
         return bool(resid <= CONE_RTOL * (1.0 + float(np.linalg.norm(w))))
-
-    def second_order(self, x, y) -> ThetaSecondOrder:
-        x = _vec(x)
-        y = _vec(y)
-        self.check_subgradient(x, y)
-        return ThetaSecondOrder(
-            d2=lambda w: self.second_subderivative(x, y, w),
-            in_cone=lambda w: self.critical_cone_member(x, y, w),
-        )
 
     def gqf_certificate(self, x, y) -> GqfCertificate:
         """For polyhedral penalties: the second subderivative at (x, y) is a
@@ -247,8 +247,9 @@ class SymmetricFunction:
         # relative-interior membership must clear it with margin
         if slack < RI_SLACK + fit_tol:
             return GqfCertificate(False, None)
-        diffs = verts[1:] - verts[0]
-        basis = null_space(diffs)
+        from scipy.linalg import null_space
+
+        basis = null_space(verts[1:] - verts[0])
         return GqfCertificate(True, basis)
 
 

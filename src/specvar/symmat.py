@@ -2,8 +2,8 @@
 
 This module provides the shared ground floor for everything else: ordered
 eigendecompositions with clustering of numerically repeated eigenvalues,
-shifted pseudoinverses taken across eigenvalue clusters, blockwise sorting
-permutations, and the trace/eigenvalue gap behind Fan's inequality.
+blockwise sorting permutations, the trace/eigenvalue gap behind Fan's
+inequality, and dense shifted pseudoinverses (the tests' reference).
 
 All container types are immutable after construction and every operation is
 a pure function of its inputs, so values can be shared freely across
@@ -37,8 +37,8 @@ def as_sym_array(x) -> np.ndarray:
     if isinstance(x, SymMatrix):
         return x.entries
     a = np.asarray(x, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
@@ -63,11 +63,11 @@ class SymMatrix:
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+            raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
-        asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
+        asym = float(np.max(np.abs(a - a.T)))
         object.__setattr__(self, "entries", _frozen((a + a.T) / 2.0))
         object.__setattr__(self, "asymmetry", asym)
 
@@ -75,17 +75,7 @@ class SymMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    @staticmethod
-    def identity(n: int) -> "SymMatrix":
-        return SymMatrix(np.eye(n))
-
-    @staticmethod
-    def diagonal(values) -> "SymMatrix":
-        return SymMatrix(np.diag(np.asarray(values, dtype=float)))
-
     def spectral_norm(self) -> float:
-        if self.n == 0:
-            return 0.0
         return float(np.max(np.abs(np.linalg.eigvalsh(self.entries))))
 
 
@@ -133,14 +123,16 @@ class EigenSystem:
         """Eigenvector columns spanning the m-th eigenvalue cluster."""
         return self.u[:, self.blocks[m]]
 
+    @property
+    def block_ids(self) -> np.ndarray:
+        """Cluster index of every eigenvalue position."""
+        return np.repeat(np.arange(self.r), [len(b) for b in self.blocks])
+
     def block_of(self, i: int) -> int:
         """Index of the cluster containing eigenvalue position i."""
         if not 0 <= i < self.n:
             raise IndexError(f"eigenvalue index {i} out of range for n={self.n}")
-        for m, b in enumerate(self.blocks):
-            if b.start <= i < b.stop:
-                return m
-        raise AssertionError("blocks do not partition the index range")
+        return int(self.block_ids[i])
 
     def reconstruct(self) -> np.ndarray:
         return self.u @ np.diag(self.lam) @ self.u.T
@@ -155,34 +147,27 @@ def eig(x, cluster_tol: float | None = None) -> EigenSystem:
     the result as ambiguous rather than failing.
     """
     mat = x if isinstance(x, SymMatrix) else SymMatrix(as_sym_array(x))
-    if cluster_tol is None:
-        cluster_tol = default_cluster_tol(mat)
-    cluster_tol = float(cluster_tol)
-    if cluster_tol <= 0.0:
-        raise ValueError("cluster_tol must be positive")
     try:
         w, v = np.linalg.eigh(mat.entries)
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(
             f"symmetric eigendecomposition failed for n={mat.n}: {exc}"
         ) from exc
+    norm = float(np.max(np.abs(w)))  # ||X||_2, as in default_cluster_tol
+    cluster_tol = CLUSTER_RTOL * (1.0 + norm) if cluster_tol is None else float(cluster_tol)
+    if cluster_tol <= 0.0:
+        raise ValueError("cluster_tol must be positive")
     lam = w[::-1].copy()
     u = v[:, ::-1].copy()
     gaps = lam[:-1] - lam[1:]
     ambiguous = bool(np.any((gaps >= 0.5 * cluster_tol) & (gaps <= 2.0 * cluster_tol)))
-    blocks: list[range] = []
-    start = 0
-    for i, g in enumerate(gaps):
-        if g > cluster_tol:
-            blocks.append(range(start, i + 1))
-            start = i + 1
-    blocks.append(range(start, mat.n))
-    mu = np.array([lam[b].mean() for b in blocks])
+    bounds = np.concatenate([[0], np.flatnonzero(gaps > cluster_tol) + 1, [mat.n]]).tolist()
+    mu = np.add.reduceat(lam, bounds[:-1]) / np.diff(bounds)
     return EigenSystem(
         matrix=mat,
         u=u,
         lam=lam,
-        blocks=tuple(blocks),
+        blocks=tuple(range(a, b) for a, b in zip(bounds[:-1], bounds[1:])),
         mu=mu,
         cluster_tol=cluster_tol,
         ambiguous=ambiguous,
@@ -192,7 +177,8 @@ def eig(x, cluster_tol: float | None = None) -> EigenSystem:
 def pinv_shift(es: EigenSystem, m: int) -> SymMatrix:
     """Moore-Penrose inverse of (mu_m I - X) assembled from the
     eigendecomposition: sum over clusters s != m of
-    (mu_m - mu_s)^{-1} U_s U_s^T.  Vanishes on the m-th eigenspace."""
+    (mu_m - mu_s)^{-1} U_s U_s^T.  Vanishes on the m-th eigenspace.  The
+    tests' dense reference for the calculus's eigenbasis formulas."""
     if not 0 <= m < es.r:
         raise IndexError(f"cluster index {m} out of range for r={es.r}")
     out = np.zeros((es.n, es.n))
@@ -208,24 +194,21 @@ def pinv_shift(es: EigenSystem, m: int) -> SymMatrix:
 class BlockPermutation:
     """Permutation acting within eigenvalue clusters only.
 
-    ``q`` is the 0/1 permutation matrix; applying it to the eigenvalue
-    vector is a no-op because eigenvalues are constant on each cluster.
+    ``apply(y)[k] = y[perm[k]]`` and ``apply_transpose`` inverts it; each
+    cluster's index range maps to itself, so the eigenvalues are fixed.
     """
 
-    block_perms: tuple[np.ndarray, ...]
-    q: np.ndarray
+    perm: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "q", _frozen(self.q))
-        object.__setattr__(
-            self, "block_perms", tuple(_frozen(p) for p in self.block_perms)
-        )
+        object.__setattr__(self, "perm", np.array(self.perm, dtype=np.intp))
+        self.perm.flags.writeable = False
 
     def apply(self, y) -> np.ndarray:
-        return self.q @ np.asarray(y, dtype=float)
+        return np.asarray(y, dtype=float)[self.perm]
 
     def apply_transpose(self, y) -> np.ndarray:
-        return self.q.T @ np.asarray(y, dtype=float)
+        return np.asarray(y, dtype=float)[np.argsort(self.perm)]
 
 
 def block_sort_permutation(y, es: EigenSystem) -> tuple[np.ndarray, BlockPermutation]:
@@ -235,16 +218,9 @@ def block_sort_permutation(y, es: EigenSystem) -> tuple[np.ndarray, BlockPermuta
     y = np.asarray(y, dtype=float)
     if y.shape != (es.n,):
         raise ValueError(f"expected a vector of length {es.n}, got shape {y.shape}")
-    q = np.zeros((es.n, es.n))
-    v = np.empty(es.n)
-    perms = []
-    for b in es.blocks:
-        order = np.argsort(-y[b], kind="stable")
-        perms.append(order.astype(np.intp))
-        for k, j in enumerate(order):
-            q[b.start + k, b.start + j] = 1.0
-        v[b] = y[b][order]
-    return v, BlockPermutation(tuple(perms), q)
+    # stable, and sorted by cluster first (lexsort's last key)
+    q = BlockPermutation(np.lexsort((-y, es.block_ids)))
+    return q.apply(y), q
 
 
 def fan_gap(a, b) -> float:

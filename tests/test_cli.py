@@ -403,3 +403,25 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["outputs"]["dg"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_closed_form_commands_leave_scipy_optimize_unimported(tmp_path):
+    # scipy.optimize is the heaviest import; only the LP and the Powell
+    # search need it, and a distinct spectrum needs neither
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps({"entries": FLAGSHIP}))
+    h = tmp_path / "h.json"
+    h.write_text(json.dumps({"entries": OFFDIAG}))
+    code = (
+        "import sys; from specvar.cli import main; "
+        f"main(['--command', 'SSUB', '--matrix', {str(x)!r}, '--direction', {str(h)!r}, "
+        "'--theta', '{\"name\":\"order_stat\",\"i\":1}', '--out', sys.argv[1]]); "
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "out.json")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -8,6 +8,7 @@ import pytest
 from specvar import (
     POS_INF,
     McpSum,
+    OracleError,
     QuotientProbe,
     SmoothSep,
     diff_quotient2,
@@ -131,6 +132,10 @@ class TestFirstOrderProbe:
         est = numeric_subderivative(f, np.array([0.0]), np.array([-2.0]), samples=16)
         assert float(est) == pytest.approx(2.0, abs=1e-4)
 
+    def test_empty_grid_raises(self):
+        with pytest.raises(OracleError):
+            numeric_subderivative(lambda z: 0.0, np.zeros(2), np.ones(2), t_grid=())
+
 
 class TestAttainment:
     def test_succeeds_at_reachable_target(self):
@@ -194,3 +199,7 @@ class TestNumericProx:
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
             numeric_prox(lambda z: 0.0, 0.0, np.zeros(2))
+
+    def test_non_finite_objective_raises(self):
+        with pytest.raises(OracleError):
+            numeric_prox(lambda z: math.inf, 1.0, np.zeros(2), restarts=1)

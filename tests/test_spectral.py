@@ -6,6 +6,7 @@ import pytest
 
 from specvar import (
     POS_INF,
+    BlockPermutation,
     ExtReal,
     InvalidSubgradientError,
     McpSum,
@@ -13,6 +14,8 @@ from specvar import (
     QuotientProbe,
     SmoothSep,
     EigGapMax,
+    SubgradientTriple,
+    SymMatrix,
     UnsupportedPointError,
     critical_cone_member,
     curvature_correction,
@@ -31,6 +34,7 @@ from specvar import (
     spectral_value,
     subderivative_gap,
 )
+from specvar.spectral import SEMIDERIV_CHECK_RTOL
 from conftest import (
     CRITICAL_KINDS,
     aligned_direction,
@@ -228,6 +232,7 @@ class TestSecondSubderivative:
         probe = QuotientProbe(t_grid=(1e-3, 1e-4), radius=0.5, samples=64, seed=0)
         rep = spectral_second_subderivative(theta, x, triple, OFFDIAG, probe=probe)
         assert rep.value == pytest.approx(2.0)
+        assert rep.block_ranges == ((0, 1), (1, 2))
         assert rep.dg == pytest.approx(0.0, abs=1e-12)
         assert rep.pairing == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(rep.eig_dir, [0.0, 0.0], atol=1e-12)
@@ -281,6 +286,18 @@ class TestSecondSubderivative:
             else:
                 scaled = spectral_second_subderivative(theta, es, triple, 2.5 * h)
                 assert scaled.d2 == POS_INF
+
+    def test_rejects_hand_built_invalid_triple(self):
+        # spectral_subgradient would refuse y; the d2 checks it again itself
+        x = np.diag([2.0, 1.0])
+        y = np.array([0.0, 1.0])
+        triple = SubgradientTriple(
+            y=y, v=y, q=BlockPermutation(np.arange(2)), matrix=SymMatrix(np.diag(y))
+        )
+        with pytest.raises(InvalidSubgradientError):
+            spectral_second_subderivative(OrderStat(rank=1), x, triple, OFFDIAG)
+        with pytest.raises(InvalidSubgradientError):
+            critical_cone_member(OrderStat(rank=1), x, triple, OFFDIAG)
 
     def test_noncritical_directions_report_infinite(self):
         rng = key_rng(13)
@@ -454,6 +471,25 @@ class TestSecondSemiderivative:
     def test_zero_direction(self):
         x = np.diag([0.5, -0.5])
         assert second_semiderivative(McpSum(a=2.0, c=1.0), x, np.zeros((2, 2))) == 0.0
+
+    def test_matches_general_second_subderivative_at_gradient(self):
+        # the smooth branch is the general d2 taken at y = grad theta
+        rng = key_rng(26)
+        cases = [
+            (SmoothSep(coeff=1.0), np.array([2.0, 0.5, -1.0])),
+            (SmoothSep(coeff=-0.5), np.array([1.0, 1.0, -1.0])),
+            (McpSum(a=2.0, c=1.0), np.array([3.0, 0.5, -0.7])),
+            (McpSum(a=2.0, c=1.0), np.array([0.6, 0.6, -2.5, -2.5])),
+        ]
+        for theta, lam in cases:
+            x, _ = matrix_with_spectrum(rng, lam)
+            es = eig(x)
+            h = random_symmetric(rng, es.n)
+            semi = second_semiderivative(theta, es, h)
+            triple = spectral_subgradient(theta, es, theta.gradient(es.lam))
+            general = spectral_second_subderivative(theta, es, triple, h).d2
+            assert general.is_finite
+            assert abs(float(general) - semi) <= SEMIDERIV_CHECK_RTOL * (1.0 + abs(semi))
 
     def test_kink_and_cap_rejected(self):
         theta = McpSum(a=2.0, c=1.0)

@@ -12,10 +12,12 @@ from specvar import (
     McpSum,
     OrderStat,
     SmoothSep,
+    SubgradientSet,
     UnsupportedPointError,
     spec_from_json,
     spec_to_json,
 )
+from specvar.symfun import _hull_fit
 from conftest import key_rng
 
 ALL_KINDS = [OrderStat(rank=1), McpSum(a=2.0, c=1.0), EigGapMax(), SmoothSep(coeff=1.0)]
@@ -73,6 +75,25 @@ class TestSubgradients:
         ]
         assert s.contains([0.5, 0.5, 0.0])
         assert not s.contains([0.0, 0.0, 1.0])
+        # the sums fit within tol, but no weight can be 0.05-close to -0.1
+        tied = OrderStat(rank=1).subgradients([2.0, 2.0, 2.0])
+        assert not tied.contains([0.55, 0.5, -0.1], tol=0.05)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_unit_vector_hull_membership_matches_lp(self, seed):
+        # the closed-form simplex test against the sup-norm hull LP; below
+        # 1e-6 the LP's own feasibility tolerance blurs the comparison
+        rng = key_rng(41, seed)
+        n = int(rng.integers(2, 6))
+        idx = np.sort(rng.choice(n, int(rng.integers(2, n + 1)), replace=False))
+        verts = np.eye(n)[idx]
+        tol = float(rng.choice([1e-6, 1e-3, 0.05]))
+        y = np.zeros(n)
+        y[idx] = rng.dirichlet(np.ones(idx.size))
+        y += rng.uniform(-3.0, 3.0, n) * tol * float(rng.choice([0.0, 0.5, 0.9, 1.1, 2.0]))
+        _, resid = _hull_fit(verts, y)
+        assert SubgradientSet(kind="hull", vertices=verts).contains(y, tol) == (resid <= tol)
 
     def test_order_stat_leading_hypothesis(self):
         # rank 2 needs a strict gap above; (2,2,0) ties ranks 1 and 2
@@ -231,12 +252,11 @@ class TestSecondSubderivative:
             if v.is_finite:
                 assert f.critical_cone_member(x, y, w)
 
-    def test_second_order_bundle(self):
+    def test_mcp_at_kink_with_extreme_weight(self):
         f = McpSum(a=2.0, c=1.0)
-        so = f.second_order([0.0], [1.0])
-        assert float(so.d2(np.array([2.0]))) == pytest.approx(-2.0)
-        assert so.in_cone(np.array([2.0]))
-        assert not so.in_cone(np.array([-2.0]))
+        assert float(f.second_subderivative([0.0], [1.0], [2.0])) == pytest.approx(-2.0)
+        assert f.critical_cone_member([0.0], [1.0], [2.0])
+        assert not f.critical_cone_member([0.0], [1.0], [-2.0])
 
 
 class TestCriticalCone:
