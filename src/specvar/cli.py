@@ -48,6 +48,7 @@ from .symfun import (
     CONE_RTOL,
     RI_SLACK,
     SUBGRADIENT_TOL,
+    json_int,
     spec_from_json,
     spec_to_json,
 )
@@ -77,9 +78,12 @@ def _load_matrix(path: str) -> LoadedMatrix:
             data = json.load(fh)
         if not isinstance(data, dict) or "entries" not in data:
             raise CliInputError(f"{path}: matrix JSON must carry an 'entries' field")
-        entries = np.asarray(data["entries"], dtype=float)
+        try:
+            entries = np.asarray(data["entries"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise CliInputError(f"{path}: matrix entries must be numbers: {exc}") from exc
         if "n" in data:
-            n = int(data["n"])
+            n = json_int(data["n"], f"{path}: 'n'")
             if entries.size != n * n:
                 raise CliInputError(
                     f"{path}: expected {n * n} entries for n={n}, got {entries.size}"
@@ -87,7 +91,7 @@ def _load_matrix(path: str) -> LoadedMatrix:
             entries = entries.reshape(n, n)
         elif entries.ndim != 2:
             raise CliInputError(f"{path}: matrix JSON without 'n' must nest its rows")
-        raw = np.asarray(data["entries"], dtype=float).ravel().tolist()
+        raw = entries.ravel().tolist()
     elif ext == ".csv":
         try:
             entries = np.loadtxt(path, delimiter=",", ndmin=2)
@@ -98,9 +102,11 @@ def _load_matrix(path: str) -> LoadedMatrix:
         raise CliInputError(
             f"{path}: unknown matrix format {ext!r} (expected .json or .csv)"
         )
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise CliInputError(f"{path}: matrix must be square, got shape {entries.shape}")
-    asym = float(np.max(np.abs(entries - entries.T))) if entries.size else 0.0
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.size == 0:
+        raise CliInputError(f"{path}: matrix must be square and nonempty, got {entries.shape}")
+    if not np.all(np.isfinite(entries)):
+        raise CliInputError(f"{path}: matrix entries must be finite")
+    asym = float(np.max(np.abs(entries - entries.T)))
     if asym > ASYMMETRY_WARN:
         print(
             f"warning: {path} has asymmetry {asym:.3e} > {ASYMMETRY_WARN:.0e}; "
@@ -115,7 +121,10 @@ def _parse_subgradient(text: str) -> np.ndarray:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliInputError(f"--subgradient must be a JSON array: {exc}") from exc
-    arr = np.asarray(data, dtype=float)
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise CliInputError(f"--subgradient must hold numbers: {exc}") from exc
     if arr.ndim != 1:
         raise CliInputError("--subgradient must be a flat JSON array")
     return arr
@@ -271,7 +280,7 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
     if probe_grid is not None or args.probe_samples is not None:
         probe = QuotientProbe(
             t_grid=probe_grid or QuotientProbe().t_grid,
-            samples=args.probe_samples or QuotientProbe().samples,
+            samples=QuotientProbe().samples if args.probe_samples is None else args.probe_samples,
             seed=seed,
         )
     else:

@@ -23,6 +23,19 @@ nearby directions.
 Determinism: every estimator is a pure function of its inputs and seed.
 Sample draws use one generator stream per (level, sample) pair, so batched
 and serial evaluation agree exactly.
+
+Stacked evaluation: the quotient estimators build each grid level's
+candidates (w first, then the ball draws) as one (S, ...) stack and form
+the points, norms, inner products, quotients and +inf masks on arrays;
+ExtReal wraps only each level's at-w value and minimum.  A callable whose
+``accepts_stack`` attribute is true (``spectral.lifted`` sets it) takes the
+whole stack in one call and returns one value per row; it must return
+exactly what separate calls would.  Any other callable is evaluated point
+by point.  Stacks hold at most STACK_FLOATS floats, so a large ``samples``
+is processed in chunks.  The outputs are bit-identical to a one-candidate-
+at-a-time loop: stacked (1, m) @ (m, 1) products match ddot, the radius
+power stays a Python float operation, and argmin keeps the first of equal
+minima as a strict < scan does.
 """
 from __future__ import annotations
 
@@ -35,6 +48,7 @@ from .errors import OracleError
 from .extreal import POS_INF, ExtReal
 
 ATTAINMENT_TOL = 1e-2
+STACK_FLOATS = 1 << 18  # candidate points evaluated per chunk, in floats
 
 
 def minimize(*args, **kwargs):
@@ -66,18 +80,64 @@ def _free_dim(shape) -> int:
     return n * (n + 1) // 2
 
 
-def _ball_point(w: np.ndarray, radius: float, rng: np.random.Generator) -> np.ndarray:
-    """One draw roughly uniform in the ball of the given radius around w
-    (symmetrized when w is a matrix)."""
-    u = rng.standard_normal(w.shape if w.shape else (1,))
+def _ball_draws(w: np.ndarray, radius: float, seed: int, k: int, js: range) -> np.ndarray:
+    """Draws js of level k, stacked along axis 0: each roughly uniform in
+    the ball of the given radius around w (symmetrized when w is a matrix),
+    draw j from its own stream default_rng([seed, k, j]).
+
+    Only the draws loop over samples; the ** stays a Python float power,
+    which numpy's array power does not match bit for bit, and the norms are
+    stacked (1, m) @ (m, 1) products, which match ddot."""
+    shape = w.shape if w.shape else (1,)
+    expo = 1.0 / _free_dim(w.shape)
+    u = np.empty((len(js),) + shape)
+    r = np.empty(len(js))
+    for i, j in enumerate(js):
+        rng = np.random.default_rng([seed, k, j])
+        u[i] = rng.standard_normal(shape)
+        r[i] = radius * rng.random() ** expo
     if w.ndim == 2:
-        u = (u + u.T) / 2.0
-    nrm = float(np.linalg.norm(u))
-    if nrm == 0.0:
-        return w.copy()
-    r = radius * rng.random() ** (1.0 / _free_dim(w.shape))
-    pt = w + (r / nrm) * u.reshape(w.shape)
-    return pt
+        u = (u + u.transpose(0, 2, 1)) / 2.0
+    flat = u.reshape(len(js), 1, math.prod(shape))
+    nrm = np.sqrt(flat @ flat.transpose(0, 2, 1)).reshape(-1)
+    coef = np.divide(r, nrm, out=np.zeros_like(r), where=nrm > 0.0)  # u = 0 gives w
+    return w + coef.reshape((-1,) + (1,) * w.ndim) * u.reshape((-1,) + w.shape)
+
+
+def _evaluate(f, pts: np.ndarray) -> np.ndarray:
+    """f at every point of the stack: one call when f declares
+    ``accepts_stack`` (as ``spectral.lifted`` does), else one per point."""
+    if getattr(f, "accepts_stack", False):
+        return np.asarray(f(pts), dtype=float)
+    return np.array([float(f(p)) for p in pts])
+
+
+def _level(f, x, w, t: float, radius: float, samples: int, seed: int, k: int, v=None):
+    """f(x + t w') over the level's candidates w': w itself first, then
+    ``samples`` ball draws (none when radius is not positive), evaluated
+    STACK_FLOATS at a time.  Also returns <v, w'> when v is given."""
+    count = 1 + (max(samples, 0) if radius > 0 else 0)
+    rows = max(1, STACK_FLOATS // max(1, w.size))
+    fv = np.empty(count)
+    inner = np.empty(count) if v is not None else None
+    for start in range(0, count, rows):
+        stop = min(start + rows, count)
+        cands = _ball_draws(w, radius, seed, k, range(max(start, 1) - 1, stop - 1))
+        if start == 0:
+            cands = np.concatenate([w[None], cands])
+        fv[start:stop] = _evaluate(f, x + t * cands)
+        if v is not None:
+            flat = cands.reshape(stop - start, 1, -1)
+            inner[start:stop] = (flat @ v.reshape(-1, 1)).reshape(-1)
+    return fv, inner
+
+
+def _masked(q: np.ndarray, fv: np.ndarray) -> np.ndarray:
+    """Quotients with +inf wherever f left its domain (returned +-inf)."""
+    q = np.where(np.isinf(fv), np.inf, q)
+    if np.any(np.isnan(q) | (q == -np.inf)):
+        raise ValueError("difference quotients must not be NaN or -infinity")
+    return q
 
 
 @dataclass(frozen=True)
@@ -93,14 +153,16 @@ class QuotientProbe:
         grid = tuple(float(t) for t in self.t_grid)
         if len(grid) < 2:
             raise ValueError("t_grid needs at least two levels")
+        if not all(math.isfinite(t) for t in grid):
+            raise ValueError("t_grid entries must be finite")
         if any(t <= 0 for t in grid) or any(
             grid[i] <= grid[i + 1] for i in range(len(grid) - 1)
         ):
             raise ValueError("t_grid must be strictly decreasing and positive")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
-        if self.radius < 0:
-            raise ValueError("radius must be nonnegative")
+        if not (math.isfinite(self.radius) and self.radius >= 0):
+            raise ValueError("radius must be finite and nonnegative")
         object.__setattr__(self, "t_grid", grid)
 
 
@@ -152,24 +214,13 @@ def numeric_second_subderivative(
     if math.isinf(f0):
         raise ValueError("base point must lie in the domain of f")
 
-    def quot(t: float, cand: np.ndarray) -> ExtReal:
-        fv = float(f(x + t * cand))
-        if math.isinf(fv):
-            return POS_INF
-        return ExtReal((fv - f0 - t * _inner(v, cand)) / (t * t / 2.0))
-
     levels = []
     for k, t in enumerate(probe.t_grid):
-        at_w = quot(t, w)
-        best = at_w
         rad = probe.radius * t ** 1.5
-        if rad > 0:
-            for j in range(probe.samples):
-                rng = np.random.default_rng([probe.seed, k, j])
-                q = quot(t, _ball_point(w, rad, rng))
-                if q < best:
-                    best = q
-        levels.append(ProbeLevel(t=t, at_w=at_w, minimum=best))
+        fv, inner = _level(f, x, w, t, rad, probe.samples, probe.seed, k, v)
+        q = _masked((fv - f0 - t * inner) / (t * t / 2.0), fv)
+        # argmin keeps the first of equal minima, as a strict < scan does
+        levels.append(ProbeLevel(t=t, at_w=ExtReal(q[0]), minimum=ExtReal(q[np.argmin(q)])))
     tail = levels[-2:]
     estimate = min(lv.minimum for lv in tail)
     return ProbeResult(estimate=estimate, levels=tuple(levels))
@@ -192,23 +243,17 @@ def numeric_subderivative(
     f0 = float(f(x))
     if math.isinf(f0):
         raise ValueError("base point must lie in the domain of f")
-    best: ExtReal | None = None
+    best = None
     for k, t in enumerate(t_grid):
         t = float(t)
-        cands = [w]
-        rad = radius * t * t
-        if rad > 0:
-            for j in range(samples):
-                rng = np.random.default_rng([seed, k, j])
-                cands.append(_ball_point(w, rad, rng))
-        for cand in cands:
-            fv = float(f(x + t * cand))
-            q = POS_INF if math.isinf(fv) else ExtReal((fv - f0) / t)
-            if best is None or q < best:
-                best = q
+        fv, _ = _level(f, x, w, t, radius * t * t, samples, seed, k)
+        q = _masked((fv - f0) / t, fv)
+        q_min = q[np.argmin(q)]
+        if best is None or q_min < best:
+            best = q_min
     if best is None:
         raise OracleError("numeric_subderivative needs at least one grid level")
-    return best
+    return ExtReal(best)
 
 
 def _search_basis(shape) -> list[np.ndarray]:

@@ -63,12 +63,22 @@ def _as_eigensystem(x, cluster_tol: float | None = None) -> EigenSystem:
 
 
 def lifted(theta: SymmetricFunction):
-    """The lift as a plain callable on symmetric arrays, for oracle use."""
+    """The lift as a plain callable on symmetric arrays, for oracle use.
 
-    def f(a) -> float:
+    It also takes an (S, n, n) stack and returns the S values from one
+    stacked eigvalsh, bit-identical to S separate calls, with theta.value
+    applied per row.  The attribute ``accepts_stack`` tells the oracles so;
+    a function attribute survives functools.wraps around the callable."""
+
+    def f(a):
+        if isinstance(a, np.ndarray) and a.ndim == 3:
+            if a.shape[1] != a.shape[2] or a.size == 0 or not np.all(np.isfinite(a)):
+                raise ValueError(f"expected a finite stack of square matrices, got shape {a.shape}")
+            return np.array([theta.value(w[::-1]) for w in np.linalg.eigvalsh(a)])
         w = np.linalg.eigvalsh(as_sym_array(a))
         return theta.value(w[::-1])
 
+    f.accepts_stack = True
     return f
 
 
@@ -166,7 +176,11 @@ def fan_block_gaps(x, y, h, cluster_tol: float | None = None) -> np.ndarray:
 
     Each gap is nonnegative; simultaneous vanishing is the matrix half of
     the critical cone condition."""
-    return _rotate(_as_eigensystem(x, cluster_tol), h).fan_gaps(np.asarray(y, dtype=float))
+    es = _as_eigensystem(x, cluster_tol)
+    y = np.asarray(y, dtype=float)
+    if y.shape != (es.n,):
+        raise ValueError(f"weight vector must have length {es.n}, got {y.shape}")
+    return _rotate(es, h).fan_gaps(y)
 
 
 def critical_cone_member(

@@ -612,8 +612,18 @@ def spec_to_json(spec: SymmetricFunction) -> dict:
     raise TypeError(f"unknown penalty type: {type(spec).__name__}")
 
 
+def json_int(value, what: str) -> int:
+    """An integer field of parsed JSON; integral floats such as 2.0 pass,
+    while 2.5, strings, booleans and non-finite numbers raise ValueError."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if not integral or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def spec_from_json(data) -> SymmetricFunction:
-    """Inverse of spec_to_json; accepts a dict or a JSON string."""
+    """Inverse of spec_to_json; accepts a dict or a JSON string.  Missing
+    or malformed fields raise ValueError."""
     if isinstance(data, (str, bytes)):
         import json
 
@@ -621,20 +631,25 @@ def spec_from_json(data) -> SymmetricFunction:
     if not isinstance(data, dict) or "name" not in data:
         raise ValueError("penalty description must be an object with a 'name'")
     name = data["name"]
-    if name == "order_stat":
-        return OrderStat(rank=int(data["i"]))
-    if name == "mcp":
-        return McpSum(a=float(data["a"]), c=float(data["c"]))
-    if name == "eig_gap":
-        return EigGapMax()
-    if name == "smooth_sep":
-        if "coeff" in data:
-            return SmoothSep(coeff=float(data["coeff"]))
-        coeffs = np.asarray(data.get("coeffs", 1.0), dtype=float).ravel()
-        if coeffs.size == 0 or np.max(coeffs) - np.min(coeffs) > 0:
-            raise ValueError(
-                "smooth_sep coefficients must be a single value: a non-uniform "
-                "diagonal quadratic is not permutation invariant"
-            )
-        return SmoothSep(coeff=float(coeffs[0]))
+    try:
+        if name == "order_stat":
+            return OrderStat(rank=json_int(data["i"], "order_stat 'i'"))
+        if name == "mcp":
+            return McpSum(a=float(data["a"]), c=float(data["c"]))
+        if name == "eig_gap":
+            return EigGapMax()
+        if name == "smooth_sep":
+            if "coeff" in data:
+                return SmoothSep(coeff=float(data["coeff"]))
+            coeffs = np.asarray(data.get("coeffs", 1.0), dtype=float).ravel()
+            if coeffs.size == 0 or np.max(coeffs) - np.min(coeffs) > 0:
+                raise ValueError(
+                    "smooth_sep coefficients must be a single value: a non-uniform "
+                    "diagonal quadratic is not permutation invariant"
+                )
+            return SmoothSep(coeff=float(coeffs[0]))
+    except KeyError as exc:
+        raise ValueError(f"penalty {name!r} needs the field {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ValueError(f"penalty {name!r} has a malformed field: {exc}") from None
     raise ValueError(f"unknown penalty name: {name!r}")

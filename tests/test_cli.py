@@ -425,3 +425,91 @@ def test_closed_form_commands_leave_scipy_optimize_unimported(tmp_path):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# Bad input files, each loaded once as the base matrix and once as the direction.
+FUZZ_FILES = {
+    "nan-token": ("json", '{"entries": [[NaN, 0.0], [0.0, 1.0]]}'),
+    "infinity-token": ("json", '{"entries": [[Infinity, 0.0], [0.0, 1.0]]}'),
+    "flat-minus-infinity": ("json", '{"n": 2, "entries": [-Infinity, 0.0, 0.0, 1.0]}'),
+    "empty-json": ("json", ""),
+    "empty-csv": ("csv", ""),
+    "ragged-json": ("json", '{"entries": [[1.0, 2.0], [3.0]]}'),
+    "ragged-csv": ("csv", "1.0,2.0\n3.0\n"),
+    "non-square-json": ("json", '{"entries": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]}'),
+    "non-square-csv": ("csv", "1.0,2.0,3.0\n4.0,5.0,6.0\n"),
+    "zero-by-zero": ("json", '{"n": 0, "entries": []}'),
+    "empty-rows": ("json", '{"entries": [[]]}'),
+    "fractional-n": ("json", '{"n": 2.5, "entries": [2.0, 0.0, 0.0, 1.0]}'),
+    "infinite-n": ("json", '{"n": Infinity, "entries": [1.0]}'),
+    "object-entries": ("json", '{"entries": {"a": 1.0}}'),
+}
+# Bad flags, appended to a valid SSUB job (argparse keeps the last value).
+FUZZ_FLAGS = {
+    "subgradient-short": ["--subgradient", "[1.0]"],
+    "subgradient-long": ["--subgradient", "[1.0, 0.0, 0.0]"],
+    "subgradient-nested": ["--subgradient", "[[1.0, 0.0]]"],
+    "subgradient-object": ["--subgradient", '{"a": 1.0}'],
+    "subgradient-nan": ["--subgradient", "[NaN, 0.0]"],
+    "t-grid-text": ["--probe-t-grid", "abc"],
+    "t-grid-one-level": ["--probe-t-grid", "1e-3"],
+    "t-grid-increasing": ["--probe-t-grid", "1e-4,1e-3"],
+    "t-grid-nan": ["--probe-t-grid", "nan,1e-3"],
+    "t-grid-infinite": ["--probe-t-grid", "inf,1e-3"],
+    "probe-samples-zero": ["--probe-samples", "0"],
+    "probe-samples-negative": ["--probe-samples", "-5"],
+    "probe-samples-text": ["--probe-samples", "abc"],
+    "theta-missing-rank": ["--theta", '{"name":"order_stat"}'],
+    "theta-fractional-rank": ["--theta", '{"name":"order_stat","i":1.5}'],
+}
+
+
+def fuzz_job(tmp_path, matrix=FLAGSHIP, direction=OFFDIAG):
+    def path(name, value):
+        if isinstance(value, tuple):
+            ext, body = value
+            (tmp_path / f"{name}.{ext}").write_text(body)
+            return str(tmp_path / f"{name}.{ext}")
+        return write_json_matrix(tmp_path / f"{name}.json", value)
+
+    return [
+        "--command", "SSUB",
+        "--matrix", path("x", matrix),
+        "--direction", path("h", direction),
+        "--theta", '{"name":"order_stat","i":1}',
+        "--seed", "0",
+        "--probe-samples", "4",
+    ]
+
+
+def run_fuzz(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects before run()
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+class TestFuzz:
+    @pytest.mark.parametrize("role", ["matrix", "direction"])
+    @pytest.mark.parametrize("name", sorted(FUZZ_FILES))
+    def test_bad_file_exits_cleanly(self, name, role, tmp_path, capsys):
+        argv = fuzz_job(tmp_path, **{role: FUZZ_FILES[name]})
+        code, err = run_fuzz(argv, capsys)
+        assert code in (2, 3, 4)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", sorted(FUZZ_FLAGS))
+    def test_bad_flag_exits_cleanly(self, name, tmp_path, capsys):
+        code, err = run_fuzz(fuzz_job(tmp_path) + FUZZ_FLAGS[name], capsys)
+        assert code in (2, 3, 4)
+        assert "Traceback" not in err
+
+    def test_zero_samples_and_fractional_n_exit_two(self, tmp_path, capsys):
+        # --probe-samples 0 used to become the default 256, and n = 2.5 was
+        # truncated to 2; both ran to exit 0
+        code, err = run_fuzz(fuzz_job(tmp_path) + ["--probe-samples", "0"], capsys)
+        assert code == 2 and "samples" in err
+        argv = fuzz_job(tmp_path, matrix=FUZZ_FILES["fractional-n"])
+        code, err = run_fuzz(argv, capsys)
+        assert code == 2 and "'n' must be an integer" in err

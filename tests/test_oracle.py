@@ -8,6 +8,7 @@ import pytest
 from specvar import (
     POS_INF,
     McpSum,
+    OrderStat,
     OracleError,
     QuotientProbe,
     SmoothSep,
@@ -16,7 +17,10 @@ from specvar import (
     numeric_prox,
     numeric_second_subderivative,
     numeric_subderivative,
+    lifted,
+    spectral_subgradient,
 )
+from specvar import oracle
 from conftest import key_rng
 
 
@@ -105,6 +109,21 @@ class TestSecondOrderProbe:
         with pytest.raises(ValueError):
             QuotientProbe(samples=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"t_grid": (math.nan, 1e-3)},
+            {"t_grid": (math.inf, 1e-3)},
+            {"t_grid": (1e-2, math.nan)},
+            {"radius": math.nan},
+            {"radius": math.inf},
+        ],
+    )
+    def test_rejects_non_finite_settings(self, kwargs):
+        # a NaN radius used to pass, and then fails every rad > 0 test
+        with pytest.raises(ValueError):
+            QuotientProbe(**kwargs)
+
     def test_divergence_shows_in_levels(self):
         # kink residual: quotients blow up like 2 delta / t
         f = lambda z: float(np.abs(np.asarray(z)).sum())
@@ -135,6 +154,111 @@ class TestFirstOrderProbe:
     def test_empty_grid_raises(self):
         with pytest.raises(OracleError):
             numeric_subderivative(lambda z: 0.0, np.zeros(2), np.ones(2), t_grid=())
+
+
+def lifted_instance():
+    rng = key_rng(5150)
+    a = rng.standard_normal((4, 4))
+    b = rng.standard_normal((4, 4))
+    theta = McpSum(a=2.0, c=1.0)
+    x = (a + a.T) / 2.0
+    return theta, x, spectral_subgradient(theta, x).matrix.entries, (b + b.T) / 2.0
+
+
+def vector_instance():
+    q = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.25], [0.0, 0.25, 3.0]])
+    f = lambda z: 0.5 * float(z @ q @ z) + float(np.abs(z).sum())
+    x = np.array([0.4, -0.3, 1.1])
+    return f, x, q @ x + np.sign(x), np.array([1.0, -2.0, 0.5])
+
+
+def probe_values(res):
+    """Estimate, then (at_w, minimum) per level, as floats."""
+    return [float(res.estimate)] + [
+        float(v) for lv in res.levels for v in (lv.at_w, lv.minimum)
+    ]
+
+
+FROZEN_PROBE = QuotientProbe(samples=24, seed=3)
+
+
+class TestFrozenOutputs:
+    """Oracle outputs pinned to the last bit.  The literals were recorded
+    with point-by-point evaluation (numpy 2.4, OpenBLAS 0.3), before the
+    candidates of a level were stacked; another LAPACK may move the last
+    digits of the lifted ones."""
+
+    def test_lifted_penalty(self):
+        theta, x, v, h = lifted_instance()
+        res = numeric_second_subderivative(lifted(theta), x, v, h, FROZEN_PROBE)
+        assert probe_values(res) == [
+            -2.3538340397028303,
+            -2.3740425825710676, -2.374774909129143,
+            -2.353807298113419, -2.3538340397028303,
+            -2.351736837907792, -2.3517376471562934,
+        ]
+        est = numeric_subderivative(lifted(theta), x, h, samples=24, seed=3)
+        assert float(est) == 1.6166308730447554
+
+    def test_plain_callable(self):
+        f, x, v, w = vector_instance()
+        res = numeric_second_subderivative(f, x, v, w, FROZEN_PROBE)
+        assert probe_values(res) == [
+            4.249951694157081,
+            4.24999999999856, 4.248572285333041,
+            4.250000000457013, 4.249951694157081,
+            4.250000072724726, 4.249998598014614,
+        ]
+        assert float(numeric_subderivative(f, x, w, samples=24, seed=3)) == 5.412502125601293
+
+    @pytest.mark.parametrize("theta", [McpSum(a=2.0, c=1.0), OrderStat(rank=2)])
+    def test_stacked_equals_point_by_point(self, theta):
+        _, x, _, h = lifted_instance()
+        v = spectral_subgradient(theta, x).matrix.entries
+        f = lifted(theta)
+        assert f.accepts_stack
+        one_by_one = lambda a: f(a)  # no accepts_stack: evaluated per point
+        for probe in (FROZEN_PROBE, QuotientProbe(radius=3.0, samples=9, seed=1)):
+            assert probe_values(numeric_second_subderivative(f, x, v, h, probe)) == probe_values(
+                numeric_second_subderivative(one_by_one, x, v, h, probe)
+            )
+        assert float(numeric_subderivative(f, x, h, samples=24)) == float(
+            numeric_subderivative(one_by_one, x, h, samples=24)
+        )
+
+    def test_lifted_stack_matches_calls(self):
+        f = lifted(OrderStat(rank=2))
+        a = key_rng(77).standard_normal((5, 3, 3))
+        stack = (a + a.transpose(0, 2, 1)) / 2.0
+        assert f(stack).tolist() == [f(m) for m in stack]
+        stack[2, 0, 0] = math.nan
+        with pytest.raises(ValueError):
+            f(stack)
+        with pytest.raises(ValueError):
+            f(np.zeros((2, 3, 2)))
+
+    @pytest.mark.parametrize("floats", [3, 27])
+    def test_chunked_equals_unchunked(self, monkeypatch, floats):
+        # 3x3 points: 3 floats put one candidate in a chunk, 27 put three
+        theta = McpSum(a=2.0, c=1.0)
+        rng = key_rng(5151)
+        a, b = rng.standard_normal((2, 3, 3))
+        x = (a + a.T) / 2.0
+        h = (b + b.T) / 2.0
+        v = spectral_subgradient(theta, x).matrix.entries
+        probe = QuotientProbe(samples=17, seed=4)
+        f, g, y, w = vector_instance()
+
+        def run():
+            return (
+                probe_values(numeric_second_subderivative(lifted(theta), x, v, h, probe)),
+                float(numeric_subderivative(lifted(theta), x, h, samples=17)),
+                probe_values(numeric_second_subderivative(f, g, y, w, probe)),
+            )
+
+        whole = run()
+        monkeypatch.setattr(oracle, "STACK_FLOATS", floats)
+        assert run() == whole
 
 
 class TestAttainment:

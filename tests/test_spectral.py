@@ -211,6 +211,11 @@ class TestCriticalCone:
             1.0, abs=1e-10
         )
 
+    def test_fan_gaps_weight_length_checked(self):
+        # a third weight used to be dropped silently
+        with pytest.raises(ValueError):
+            fan_block_gaps(np.eye(2), [1.0, 0.0, 5.0], np.eye(2))
+
     def test_structural_equals_definitional(self):
         rng = key_rng(11)
         for k in range(30):

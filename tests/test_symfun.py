@@ -1,5 +1,7 @@
 """The four symmetric penalties: values, subdifferentials, first- and
 second-order directional behavior, prox maps, and cone certificates."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -390,3 +392,20 @@ class TestSerialization:
             spec_from_json({"name": "scad"})
         with pytest.raises(ValueError):
             spec_from_json({"name": "mcp", "a": 0.5, "c": 1.0})
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"name": "order_stat"},
+            {"name": "order_stat", "i": 1.5},
+            {"name": "order_stat", "i": "1"},
+            {"name": "order_stat", "i": math.inf},
+            {"name": "mcp", "a": 2.0},
+            {"name": "mcp", "a": {"x": 1}, "c": 1.0},
+            {"name": "smooth_sep", "coeffs": {"x": 1}},
+        ],
+    )
+    def test_rejects_missing_and_mistyped_fields(self, payload):
+        # these used to truncate (i = 1.5 gave rank 1) or raise KeyError/TypeError
+        with pytest.raises(ValueError):
+            spec_from_json(payload)
