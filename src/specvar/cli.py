@@ -24,6 +24,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -65,6 +66,14 @@ class CliInputError(ValueError):
     """Bad command-line input (maps to exit code 2)."""
 
 
+def _has_bool(data) -> bool:
+    """Whether parsed JSON holds a boolean where numbers belong (numpy
+    would read true and false as 1.0 and 0.0)."""
+    if isinstance(data, list):
+        return any(_has_bool(e) for e in data)
+    return isinstance(data, bool)
+
+
 @dataclass(frozen=True)
 class LoadedMatrix:
     raw: list  # row-major entries exactly as parsed, for input echo
@@ -78,6 +87,8 @@ def _load_matrix(path: str) -> LoadedMatrix:
             data = json.load(fh)
         if not isinstance(data, dict) or "entries" not in data:
             raise CliInputError(f"{path}: matrix JSON must carry an 'entries' field")
+        if _has_bool(data["entries"]):
+            raise CliInputError(f"{path}: matrix entries must be numbers, not booleans")
         try:
             entries = np.asarray(data["entries"], dtype=float)
         except (TypeError, ValueError) as exc:
@@ -93,9 +104,12 @@ def _load_matrix(path: str) -> LoadedMatrix:
             raise CliInputError(f"{path}: matrix JSON without 'n' must nest its rows")
         raw = entries.ravel().tolist()
     elif ext == ".csv":
+        # an empty file is a warning to numpy; here it is a parse error
         try:
-            entries = np.loadtxt(path, delimiter=",", ndmin=2)
-        except ValueError as exc:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)
+                entries = np.loadtxt(path, delimiter=",", ndmin=2)
+        except (ValueError, UserWarning) as exc:
             raise CliInputError(f"{path}: failed to parse CSV matrix: {exc}") from exc
         raw = entries.ravel().tolist()
     else:
@@ -121,6 +135,8 @@ def _parse_subgradient(text: str) -> np.ndarray:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliInputError(f"--subgradient must be a JSON array: {exc}") from exc
+    if _has_bool(data):
+        raise CliInputError("--subgradient must hold numbers, not booleans")
     try:
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError) as exc:

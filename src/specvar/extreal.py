@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ExtReal:
     """A real number extended with +infinity (no NaN, no -infinity)."""
 

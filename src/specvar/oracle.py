@@ -21,8 +21,11 @@ sampling bias far below the quotient truncation error while still probing
 nearby directions.
 
 Determinism: every estimator is a pure function of its inputs and seed.
-Sample draws use one generator stream per (level, sample) pair, so batched
-and serial evaluation agree exactly.
+Grid level k draws from two generator streams of its own,
+default_rng([seed, k, 0]) for the normals and default_rng([seed, k, 1])
+for the radii, consumed in sample order.  The draws therefore do not depend
+on how a level is chunked, and the first S draws of a level are the same
+for any ``samples >= S``.
 
 Stacked evaluation: the quotient estimators build each grid level's
 candidates (w first, then the ball draws) as one (S, ...) stack and form
@@ -31,11 +34,10 @@ ExtReal wraps only each level's at-w value and minimum.  A callable whose
 ``accepts_stack`` attribute is true (``spectral.lifted`` sets it) takes the
 whole stack in one call and returns one value per row; it must return
 exactly what separate calls would.  Any other callable is evaluated point
-by point.  Stacks hold at most STACK_FLOATS floats, so a large ``samples``
-is processed in chunks.  The outputs are bit-identical to a one-candidate-
-at-a-time loop: stacked (1, m) @ (m, 1) products match ddot, the radius
-power stays a Python float operation, and argmin keeps the first of equal
-minima as a strict < scan does.
+by point.  Stacks hold at most STACK_FLOATS floats, so a large ``samples``,
+like the 2 dim neighbours that ``epi_attainment_search`` compares at a
+large n, is processed in chunks built one at a time.  argmin keeps the
+first of equal minima.
 """
 from __future__ import annotations
 
@@ -80,25 +82,17 @@ def _free_dim(shape) -> int:
     return n * (n + 1) // 2
 
 
-def _ball_draws(w: np.ndarray, radius: float, seed: int, k: int, js: range) -> np.ndarray:
-    """Draws js of level k, stacked along axis 0: each roughly uniform in
-    the ball of the given radius around w (symmetrized when w is a matrix),
-    draw j from its own stream default_rng([seed, k, j]).
-
-    Only the draws loop over samples; the ** stays a Python float power,
-    which numpy's array power does not match bit for bit, and the norms are
-    stacked (1, m) @ (m, 1) products, which match ddot."""
+def _ball_draws(w: np.ndarray, radius: float, normals, radii, count: int) -> np.ndarray:
+    """The next ``count`` draws of a level, stacked along axis 0: each
+    roughly uniform in the ball of the given radius around w (symmetrized
+    when w is a matrix).  Directions come from the level's ``normals``
+    generator and radii from its ``radii`` generator."""
     shape = w.shape if w.shape else (1,)
-    expo = 1.0 / _free_dim(w.shape)
-    u = np.empty((len(js),) + shape)
-    r = np.empty(len(js))
-    for i, j in enumerate(js):
-        rng = np.random.default_rng([seed, k, j])
-        u[i] = rng.standard_normal(shape)
-        r[i] = radius * rng.random() ** expo
+    u = normals.standard_normal((count,) + shape)
+    r = radius * radii.random(count) ** (1.0 / _free_dim(w.shape))
     if w.ndim == 2:
         u = (u + u.transpose(0, 2, 1)) / 2.0
-    flat = u.reshape(len(js), 1, math.prod(shape))
+    flat = u.reshape(count, 1, math.prod(shape))
     nrm = np.sqrt(flat @ flat.transpose(0, 2, 1)).reshape(-1)
     coef = np.divide(r, nrm, out=np.zeros_like(r), where=nrm > 0.0)  # u = 0 gives w
     return w + coef.reshape((-1,) + (1,) * w.ndim) * u.reshape((-1,) + w.shape)
@@ -112,24 +106,36 @@ def _evaluate(f, pts: np.ndarray) -> np.ndarray:
     return np.array([float(f(p)) for p in pts])
 
 
-def _level(f, x, w, t: float, radius: float, samples: int, seed: int, k: int, v=None):
-    """f(x + t w') over the level's candidates w': w itself first, then
-    ``samples`` ball draws (none when radius is not positive), evaluated
-    STACK_FLOATS at a time.  Also returns <v, w'> when v is given."""
-    count = 1 + (max(samples, 0) if radius > 0 else 0)
-    rows = max(1, STACK_FLOATS // max(1, w.size))
+def _stacked(f, x, t: float, v, count: int, make):
+    """f(x + t c) over the ``count`` candidates c that ``make(start, stop)``
+    builds (rows start..stop-1), STACK_FLOATS floats at a time, so no
+    larger stack is ever held.  Also returns <v, c> when v is given."""
+    rows = max(1, STACK_FLOATS // max(1, x.size))
     fv = np.empty(count)
     inner = np.empty(count) if v is not None else None
     for start in range(0, count, rows):
         stop = min(start + rows, count)
-        cands = _ball_draws(w, radius, seed, k, range(max(start, 1) - 1, stop - 1))
-        if start == 0:
-            cands = np.concatenate([w[None], cands])
+        cands = make(start, stop)
         fv[start:stop] = _evaluate(f, x + t * cands)
         if v is not None:
             flat = cands.reshape(stop - start, 1, -1)
             inner[start:stop] = (flat @ v.reshape(-1, 1)).reshape(-1)
     return fv, inner
+
+
+def _level(f, x, w, t: float, radius: float, samples: int, seed: int, k: int, v=None):
+    """f(x + t w') over the level's candidates w': w itself first, then
+    ``samples`` ball draws (none when radius is not positive).  Also
+    returns <v, w'> when v is given."""
+    count = 1 + (max(samples, 0) if radius > 0 else 0)
+    normals = np.random.default_rng([seed, k, 0])
+    radii = np.random.default_rng([seed, k, 1])
+
+    def make(start: int, stop: int) -> np.ndarray:
+        cands = _ball_draws(w, radius, normals, radii, stop - max(start, 1))
+        return np.concatenate([w[None], cands]) if start == 0 else cands
+
+    return _stacked(f, x, t, v, count, make)
 
 
 def _masked(q: np.ndarray, fv: np.ndarray) -> np.ndarray:
@@ -256,24 +262,35 @@ def numeric_subderivative(
     return ExtReal(best)
 
 
-def _search_basis(shape) -> list[np.ndarray]:
-    if len(shape) == 0:
-        return [np.asarray(1.0)]
-    if len(shape) == 1:
-        return list(np.eye(shape[0]))
-    n = shape[0]
-    basis = []
-    for i in range(n):
-        e = np.zeros((n, n))
-        e[i, i] = 1.0
-        basis.append(e)
-    s = 1.0 / math.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n))
-            e[i, j] = e[j, i] = s
-            basis.append(e)
-    return basis
+def _search_moves(shape):
+    """The unit coordinate moves +e_0, -e_0, +e_1, -e_1, ... (2 dim of
+    them) as a function ``moves(start, stop)`` that stacks moves
+    start..stop-1 along axis 0.  For matrices the coordinates are the
+    diagonal entries, then the off-diagonal pairs (i < j, scaled to unit
+    Frobenius norm).  Only the O(dim) index tables are kept."""
+    dim = _free_dim(shape)
+    if len(shape) < 2:
+        upper = lower = np.arange(dim)
+        val = np.ones(dim)
+    else:
+        n = shape[0]
+        iu, ju = np.triu_indices(n, 1)
+        i = np.concatenate([np.arange(n), iu])
+        j = np.concatenate([np.arange(n), ju])
+        upper, lower = i * n + j, j * n + i
+        val = np.where(i == j, 1.0, 1.0 / math.sqrt(2.0))
+    upper, lower = np.repeat(upper, 2), np.repeat(lower, 2)
+    val = np.repeat(val, 2) * np.tile([1.0, -1.0], dim)
+    size = math.prod(shape)
+
+    def moves(start: int, stop: int) -> np.ndarray:
+        out = np.zeros((stop - start, size))
+        rows = np.arange(stop - start)
+        out[rows, upper[start:stop]] = val[start:stop]
+        out[rows, lower[start:stop]] = val[start:stop]
+        return out.reshape((-1,) + tuple(shape))
+
+    return moves
 
 
 @dataclass(frozen=True)
@@ -303,12 +320,15 @@ def epi_attainment_search(
     """Search for directions w_k -> w whose second-order quotients attain
     ``target``.
 
-    For each level t_k a derivative-free coordinate descent minimizes
-    |Q_{t_k}(w') - target| starting at w, with step sizes shrinking from
-    0.5 * t_k^(1/2) downwards, so accepted points stay in a vanishing
-    neighborhood of w.  Success requires the final mismatch to be at most
-    1e-2 and the distances ||w_k - w|| to be nonincreasing over the last
-    three levels.
+    For each level t_k a derivative-free best-improvement descent minimizes
+    |Q_{t_k}(w') - target| starting at w: all 2 dim coordinate neighbours
+    w' +- step e_i are evaluated as stacks, and the search moves to the
+    one with the smallest mismatch (the first of equal minima) when it
+    improves by more than 1e-15, at most ``sweeps`` times per step size.
+    Step sizes shrink from 0.5 * t_k^(1/2) downwards, so accepted points
+    stay in a vanishing neighborhood of w.  Success requires the final
+    mismatch to be at most ATTAINMENT_TOL and the distances ||w_k - w|| to
+    be nonincreasing over the last three levels.
     """
     x = _as_point(x)
     w = _as_point(w)
@@ -321,37 +341,31 @@ def epi_attainment_search(
     f0 = float(f(x))
     if math.isinf(f0):
         raise ValueError("base point must lie in the domain of f")
-    basis = _search_basis(w.shape)
+    n_moves = 2 * _free_dim(w.shape)
+    moves = _search_moves(w.shape)
 
-    def quot(t: float, cand: np.ndarray) -> float:
-        fv = float(f(x + t * cand))
-        if math.isinf(fv):
-            return math.inf
-        return (fv - f0 - t * _inner(v, cand)) / (t * t / 2.0)
+    def mismatches(t: float, count: int, make) -> tuple[np.ndarray, np.ndarray]:
+        fv, inner = _stacked(f, x, t, v, count, make)
+        q = np.where(np.isinf(fv), np.inf, (fv - f0 - t * inner) / (t * t / 2.0))
+        return q, np.where(np.isfinite(q), np.abs(q - target), np.inf)
 
     levels: list[AttainmentLevel] = []
     mismatch = math.inf
     for t in t_seq:
         t = float(t)
         best = w.copy()
-        q_best = quot(t, best)
-        mismatch = abs(q_best - target) if math.isfinite(q_best) else math.inf
+        q, m = mismatches(t, 1, lambda start, stop: best[None])
+        q_best, mismatch = float(q[0]), float(m[0])
         step = 0.5 * math.sqrt(t)
         floor = 1e-3 * t
         while step > floor:
-            moved = True
-            guard = 0
-            while moved and guard < sweeps:
-                moved = False
-                guard += 1
-                for b in basis:
-                    for sgn in (1.0, -1.0):
-                        cand = best + (sgn * step) * b
-                        q = quot(t, cand)
-                        m = abs(q - target) if math.isfinite(q) else math.inf
-                        if m < mismatch - 1e-15:
-                            best, q_best, mismatch = cand, q, m
-                            moved = True
+            for _ in range(sweeps):
+                q, m = mismatches(t, n_moves, lambda start, stop: best + step * moves(start, stop))
+                i = int(np.argmin(m))
+                if not m[i] < mismatch - 1e-15:
+                    break
+                best = best + step * moves(i, i + 1)[0]
+                q_best, mismatch = float(q[i]), float(m[i])
             step /= 2.0
         levels.append(
             AttainmentLevel(

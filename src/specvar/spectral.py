@@ -47,7 +47,9 @@ from .symmat import (
     EigenSystem,
     SymMatrix,
     as_sym_array,
+    block_sort_order,
     block_sort_permutation,
+    cluster_means,
     eig,
 )
 from .symfun import OrderStat, SymmetricFunction, spec_to_json
@@ -210,18 +212,20 @@ class SecondOrderReport:
     direction is not critical (the former is an unconditional quadratic in
     H); ``d2`` is +infinity off the critical cone regardless, so that a
     finite d2 always certifies criticality.  Callers may keep many reports,
-    so ``direction`` is the caller's array (not a copy) and the clusters are
-    stored as one bounds array, cluster m covering block_bounds[m:m + 2]."""
+    so a report holds only what it cannot derive: ``direction`` is the
+    caller's array (not a copy), ``penalty`` the caller's penalty, and the
+    clusters are one bounds array, cluster m covering
+    block_bounds[m:m + 2].  ``theta``, ``cluster_values`` and ``v`` are
+    computed on access by the functions that produced them
+    (``spec_to_json``, ``symmat.cluster_means``, ``symmat.block_sort_order``)."""
 
-    theta: dict
+    penalty: SymmetricFunction
     n: int
     direction: np.ndarray
     spectrum: np.ndarray
     block_bounds: np.ndarray
-    cluster_values: np.ndarray
     ambiguous_clustering: bool
     y: np.ndarray
-    v: np.ndarray
     value: float
     eig_dir: np.ndarray
     dg: float
@@ -235,9 +239,24 @@ class SecondOrderReport:
     oracle_gap: float | None = None
 
     @property
+    def theta(self) -> dict:
+        """The penalty's JSON description."""
+        return spec_to_json(self.penalty)
+
+    @property
     def block_ranges(self) -> tuple[tuple[int, int], ...]:
         b = self.block_bounds.tolist()
         return tuple(zip(b[:-1], b[1:]))
+
+    @property
+    def cluster_values(self) -> np.ndarray:
+        """Cluster means of the spectrum, as ``eig`` computes them."""
+        return cluster_means(self.spectrum, self.block_bounds)
+
+    @property
+    def v(self) -> np.ndarray:
+        """y sorted as ``block_sort_permutation`` sorts it."""
+        return self.y[block_sort_order(self.y, self.block_bounds)]
 
 
 def spectral_second_subderivative(
@@ -277,15 +296,13 @@ def spectral_second_subderivative(
         if d2.is_finite and oracle_d2.is_finite:
             oracle_gap = abs(float(d2) - float(oracle_d2))
     return SecondOrderReport(
-        theta=spec_to_json(theta),
+        penalty=theta,
         n=es.n,
         direction=hm,
         spectrum=es.lam.copy(),
         block_bounds=np.array([b.start for b in es.blocks] + [es.n]),
-        cluster_values=es.mu.copy(),
         ambiguous_clustering=es.ambiguous,
         y=triple.y.copy(),
-        v=triple.v.copy(),
         value=theta.value(es.lam),
         eig_dir=dd.vector.copy(),
         dg=dg,

@@ -29,6 +29,7 @@ import numpy as np
 from .errors import InvalidSubgradientError, UnsupportedPointError
 from .extreal import POS_INF, ExtReal
 from .oracle import numeric_prox
+from .symmat import tie_width
 
 SUBGRADIENT_TOL = 1e-9
 CONE_RTOL = 1e-8
@@ -43,8 +44,10 @@ def _vec(x) -> np.ndarray:
 
 
 def _tie_tol(x: np.ndarray) -> float:
+    """Width within which coordinates count as tied: ``eig``'s default
+    clustering width for a spectrum x (``symmat.tie_width``)."""
     scale = float(np.max(np.abs(x))) if x.size else 0.0
-    return 1e-8 * (1.0 + scale)
+    return tie_width(scale)
 
 
 def linprog(*args, **kwargs):

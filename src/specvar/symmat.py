@@ -79,10 +79,18 @@ class SymMatrix:
         return float(np.max(np.abs(np.linalg.eigvalsh(self.entries))))
 
 
+def tie_width(scale: float) -> float:
+    """Width within which two eigenvalues of a spectrum of largest modulus
+    ``scale`` count as equal: 1e-8 * (1 + scale).  ``eig`` clusters with it
+    by default and the penalties in ``symfun`` judge ties with it, so at
+    the default tolerance both read a spectrum the same way."""
+    return CLUSTER_RTOL * (1.0 + scale)
+
+
 def default_cluster_tol(x) -> float:
-    """Default eigenvalue clustering width: 1e-8 * (1 + ||X||_2)."""
+    """Default eigenvalue clustering width: tie_width(||X||_2)."""
     mat = x if isinstance(x, SymMatrix) else SymMatrix(as_sym_array(x))
-    return CLUSTER_RTOL * (1.0 + mat.spectral_norm())
+    return tie_width(mat.spectral_norm())
 
 
 @dataclass(frozen=True)
@@ -138,6 +146,12 @@ class EigenSystem:
         return self.u @ np.diag(self.lam) @ self.u.T
 
 
+def cluster_means(lam: np.ndarray, bounds) -> np.ndarray:
+    """Mean of ``lam`` over each cluster, cluster m covering
+    bounds[m:m + 2]."""
+    return np.add.reduceat(lam, bounds[:-1]) / np.diff(bounds)
+
+
 def eig(x, cluster_tol: float | None = None) -> EigenSystem:
     """Ordered eigendecomposition of a symmetric matrix with greedy
     clustering of nearby eigenvalues.
@@ -154,7 +168,7 @@ def eig(x, cluster_tol: float | None = None) -> EigenSystem:
             f"symmetric eigendecomposition failed for n={mat.n}: {exc}"
         ) from exc
     norm = float(np.max(np.abs(w)))  # ||X||_2, as in default_cluster_tol
-    cluster_tol = CLUSTER_RTOL * (1.0 + norm) if cluster_tol is None else float(cluster_tol)
+    cluster_tol = tie_width(norm) if cluster_tol is None else float(cluster_tol)
     if cluster_tol <= 0.0:
         raise ValueError("cluster_tol must be positive")
     lam = w[::-1].copy()
@@ -162,7 +176,7 @@ def eig(x, cluster_tol: float | None = None) -> EigenSystem:
     gaps = lam[:-1] - lam[1:]
     ambiguous = bool(np.any((gaps >= 0.5 * cluster_tol) & (gaps <= 2.0 * cluster_tol)))
     bounds = np.concatenate([[0], np.flatnonzero(gaps > cluster_tol) + 1, [mat.n]]).tolist()
-    mu = np.add.reduceat(lam, bounds[:-1]) / np.diff(bounds)
+    mu = cluster_means(lam, bounds)
     return EigenSystem(
         matrix=mat,
         u=u,
@@ -218,9 +232,17 @@ def block_sort_permutation(y, es: EigenSystem) -> tuple[np.ndarray, BlockPermuta
     y = np.asarray(y, dtype=float)
     if y.shape != (es.n,):
         raise ValueError(f"expected a vector of length {es.n}, got shape {y.shape}")
-    # stable, and sorted by cluster first (lexsort's last key)
-    q = BlockPermutation(np.lexsort((-y, es.block_ids)))
+    q = BlockPermutation(block_sort_order(y, [b.start for b in es.blocks] + [es.n]))
     return q.apply(y), q
+
+
+def block_sort_order(y: np.ndarray, bounds) -> np.ndarray:
+    """Indices of the stable sort of ``y`` that is nonincreasing within
+    each cluster (cluster m covering bounds[m:m + 2]) and keeps every
+    cluster's index range in place."""
+    ids = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    # stable, and sorted by cluster first (lexsort's last key)
+    return np.lexsort((-y, ids))
 
 
 def fan_gap(a, b) -> float:

@@ -3,6 +3,7 @@ determinism hashing, and the quotient trace."""
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -271,6 +272,22 @@ class TestExitCodes:
         )
         assert code == 3 and "unsupported point" in err
 
+        # a gap inside the default clustering width is a tie to the penalty
+        # too (it exited 2, as bad input, when the two widths disagreed)
+        small = write_json_matrix(
+            tmp_path / "s.json", [[3e-9, 0.0, 0.0], [0.0, 1e-9, 0.0], [0.0, 0.0, -2e-9]]
+        )
+        code, _, err = run_cli(
+            [
+                "--command", "SSUB",
+                "--matrix", small,
+                "--theta", '{"name":"order_stat","i":2}',
+                "--direction", h,
+            ],
+            capsys,
+        )
+        assert code == 3 and "unsupported point" in err
+
         kink = write_json_matrix(tmp_path / "k.json", [[1.2, 0.0], [0.0, 0.0]])
         h2 = write_json_matrix(tmp_path / "h2.json", [[1.0, 0.0], [0.0, 1.0]])
         code, _, _ = run_cli(
@@ -443,6 +460,8 @@ FUZZ_FILES = {
     "fractional-n": ("json", '{"n": 2.5, "entries": [2.0, 0.0, 0.0, 1.0]}'),
     "infinite-n": ("json", '{"n": Infinity, "entries": [1.0]}'),
     "object-entries": ("json", '{"entries": {"a": 1.0}}'),
+    "boolean-entries": ("json", '{"entries": [[true, false], [false, true]]}'),
+    "comment-only-csv": ("csv", "# no rows\n"),
 }
 # Bad flags, appended to a valid SSUB job (argparse keeps the last value).
 FUZZ_FLAGS = {
@@ -451,6 +470,7 @@ FUZZ_FLAGS = {
     "subgradient-nested": ["--subgradient", "[[1.0, 0.0]]"],
     "subgradient-object": ["--subgradient", '{"a": 1.0}'],
     "subgradient-nan": ["--subgradient", "[NaN, 0.0]"],
+    "subgradient-booleans": ["--subgradient", "[true, false]"],
     "t-grid-text": ["--probe-t-grid", "abc"],
     "t-grid-one-level": ["--probe-t-grid", "1e-3"],
     "t-grid-increasing": ["--probe-t-grid", "1e-4,1e-3"],
@@ -483,11 +503,16 @@ def fuzz_job(tmp_path, matrix=FLAGSHIP, direction=OFFDIAG):
 
 
 def run_fuzz(argv, capsys):
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse rejects before run()
-        code = exc.code
-    return code, capsys.readouterr().err
+    """Exit code and stderr of one CLI run.  Warnings are appended to
+    stderr as a terminal would print them; pytest would hide them."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects before run()
+            code = exc.code
+    shown = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    return code, capsys.readouterr().err + shown
 
 
 class TestFuzz:
@@ -498,6 +523,7 @@ class TestFuzz:
         code, err = run_fuzz(argv, capsys)
         assert code in (2, 3, 4)
         assert "Traceback" not in err
+        assert "Warning" not in err
 
     @pytest.mark.parametrize("name", sorted(FUZZ_FLAGS))
     def test_bad_flag_exits_cleanly(self, name, tmp_path, capsys):
@@ -513,3 +539,11 @@ class TestFuzz:
         argv = fuzz_job(tmp_path, matrix=FUZZ_FILES["fractional-n"])
         code, err = run_fuzz(argv, capsys)
         assert code == 2 and "'n' must be an integer" in err
+
+    def test_booleans_exit_two(self, tmp_path, capsys):
+        # numpy reads true and false as 1.0 and 0.0; both inputs ran to exit 0
+        code, err = run_fuzz(fuzz_job(tmp_path) + ["--subgradient", "[true, false]"], capsys)
+        assert code == 2 and "booleans" in err
+        argv = fuzz_job(tmp_path, matrix=FUZZ_FILES["boolean-entries"])
+        code, err = run_fuzz(argv, capsys)
+        assert code == 2 and "booleans" in err

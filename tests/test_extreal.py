@@ -28,6 +28,18 @@ def test_rejects_nan_and_neg_inf():
         ExtReal(-math.inf)
 
 
+def test_slotted_and_still_checked():
+    # reports hold several ExtReals, so each carries no instance dict
+    v = ExtReal(1.5)
+    assert not hasattr(v, "__dict__")
+    with pytest.raises(AttributeError):
+        v.value = 2.0
+    with pytest.raises(ValueError):
+        ExtReal(math.nan)
+    with pytest.raises(ValueError):
+        ExtReal(-math.inf)
+
+
 def test_addition_absorbs_infinity():
     assert (ExtReal(2.0) + ExtReal(3.0)).value == 5.0
     assert not (ExtReal(2.0) + POS_INF).is_finite

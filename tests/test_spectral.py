@@ -35,6 +35,8 @@ from specvar import (
     subderivative_gap,
 )
 from specvar.spectral import SEMIDERIV_CHECK_RTOL
+from specvar.symfun import spec_to_json
+from specvar.symmat import tie_width
 from conftest import (
     CRITICAL_KINDS,
     aligned_direction,
@@ -48,6 +50,7 @@ from conftest import (
 )
 
 OFFDIAG = np.array([[0.0, 1.0], [1.0, 0.0]])
+OFFDIAG_4 = np.kron(np.eye(2), OFFDIAG)
 
 
 def prox_objective(theta, gamma, x, p):
@@ -247,6 +250,21 @@ class TestSecondSubderivative:
         assert rep.d2.is_finite and float(rep.d2) == pytest.approx(2.0, abs=1e-12)
         assert rep.oracle_d2 is not None and rep.oracle_gap <= 1e-2
 
+    def test_derived_fields_match_their_sources(self):
+        # theta, cluster_values and v are computed on access, not stored
+        rng = key_rng(4245)
+        for sizes, block, interior in (((1, 3), 1, True), ((2, 2), 0, True), ((1, 1, 1), 1, False)):
+            es, theta, y = order_stat_block_instance(rng, sizes, block, interior)
+            b = es.blocks[block]
+            y[b] = np.sort(y[b])  # nondecreasing inside the cluster, so v != y
+            triple = spectral_subgradient(theta, es, y)
+            rep = spectral_second_subderivative(theta, es, triple, aligned_direction(rng, es))
+            assert rep.theta == spec_to_json(theta)
+            assert rep.cluster_values.tolist() == es.mu.tolist()
+            assert rep.v.tolist() == triple.v.tolist()
+            assert rep.y.tolist() == triple.y.tolist()
+            assert (rep.v.tolist() != rep.y.tolist()) == interior
+
     def test_tied_block_zero_direction_quotient(self):
         es = eig(np.eye(2))
         y = embedded_weights(es, np.diag([1.0, 0.0]))
@@ -370,6 +388,109 @@ class TestSecondSubderivative:
         x, _ = matrix_with_spectrum(key_rng(16), np.array([2.0, 2.0, 0.0]))
         with pytest.raises(UnsupportedPointError):
             spectral_subgradient(OrderStat(rank=2), x)
+
+
+def homogeneous_instances():
+    """(theta, es, y, h) for the positively homogeneous penalties, each
+    with a finite second subderivative: order statistics at clustered
+    spectra (aligned directions) and at a simple one, and gap penalties."""
+    rng = key_rng(4242)
+    out = [critical_instance(rng, kind) for kind in ("vertex", "gap") for _ in range(3)]
+    lam = np.array([2.0, 1.0, 0.5, -1.0])
+    x, _ = matrix_with_spectrum(rng, lam)
+    es = eig(x)
+    theta = OrderStat(rank=2)
+    out.append((theta, es, theta.subgradients(es.lam).canonical_vertex(), random_symmetric(rng, 4)))
+    return out
+
+
+class TestScaleSweep:
+    # X -> sX with H -> sH: dg is degree 1 in both together, and so is d2
+    # (the curvature term is quadratic in H over eigenvalue gaps).  The
+    # default cluster_tol has an absolute floor, so it is scaled with s.
+    # s runs over powers of two from about 6e-8 to 1e8: eigh then returns
+    # the same eigenbasis, so one-hot weights inside a cluster still name
+    # the same Y (any other rotation of a cluster basis would name another).
+    # The penalties judge ties with the default width tie_width, floor
+    # included, whatever cluster_tol eig used; below s = 2^-25 the smallest
+    # gaps of these spectra fall under that floor and read as ties
+    # (TestDefaultTieWidth)
+    SCALES = tuple(2.0 ** k for k in (-24, -20, -13, -3, 0, 3, 13, 20, 27))
+
+    @pytest.mark.parametrize("case", range(7))
+    def test_dg_and_d2_are_degree_one(self, case):
+        theta, es, y, h = homogeneous_instances()[case]
+        x = es.matrix.entries
+        tol = es.cluster_tol
+        dg = spectral_subderivative(theta, x, h, cluster_tol=tol)
+        triple = spectral_subgradient(theta, x, y, cluster_tol=tol)
+        d2 = spectral_second_subderivative(theta, x, triple, h, cluster_tol=tol).d2
+        assert d2.is_finite
+        for s in self.SCALES:
+            xs, hs, ts = s * x, s * h, s * tol
+            dg_s = spectral_subderivative(theta, xs, hs, cluster_tol=ts)
+            assert abs(dg_s - s * dg) <= 1e-9 * s * (1.0 + abs(dg)), s
+            triple_s = spectral_subgradient(theta, xs, y, cluster_tol=ts)
+            d2_s = spectral_second_subderivative(theta, xs, triple_s, hs, cluster_tol=ts).d2
+            assert d2_s.is_finite, s
+            assert abs(float(d2_s) - s * float(d2)) <= 1e-9 * s * (1.0 + abs(float(d2))), s
+
+
+class TestTieHypotheses:
+    # each penalty exactly at the tie its calculus excludes, at unit scale
+    # and at a small one whose gaps stay above the tie floor of 1e-8
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -20])
+    def test_order_stat_rank_tied_with_the_one_above(self, scale):
+        x, _ = matrix_with_spectrum(key_rng(4243), scale * np.array([3.0, 1.0, 1.0, -2.0]))
+        es = eig(x, cluster_tol=scale * 1e-8)
+        with pytest.raises(UnsupportedPointError, match="not leading"):
+            spectral_subgradient(OrderStat(rank=3), es)
+        with pytest.raises(UnsupportedPointError, match="not leading"):
+            spectral_subderivative(OrderStat(rank=3), es, OFFDIAG_4)
+        spectral_subgradient(OrderStat(rank=2), es)  # rank 2 leads its cluster
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -20])
+    @pytest.mark.parametrize(
+        "lam, why",
+        [
+            ([3.0, 3.0, 1.0], "upper endpoint"),
+            ([5.0, 2.0, 2.0], "lower endpoint"),
+            ([5.0, 2.0, 2.0, 0.0], "lower endpoint"),
+            ([1.0, 1.0, 1.0], "largest gap is zero"),
+        ],
+    )
+    def test_eig_gap_endpoint_tied(self, lam, why, scale):
+        x, _ = matrix_with_spectrum(key_rng(4244), scale * np.array(lam))
+        es = eig(x, cluster_tol=scale * 1e-8)
+        with pytest.raises(UnsupportedPointError, match=why):
+            spectral_subgradient(EigGapMax(), es)
+        with pytest.raises(UnsupportedPointError, match=why):
+            spectral_subderivative(EigGapMax(), es, np.eye(len(lam)))
+
+
+class TestDefaultTieWidth:
+    # At the default cluster_tol, eig's clusters and the penalties' ties use
+    # one width, tie_width(max |lam|) = 1e-8 * (1 + max |lam|).  Gaps between
+    # 1e-8 * max |lam| and that width are one cluster to eig, so they must be
+    # a tie to the penalty too: the named UnsupportedPointError, not an
+    # InvalidSubgradientError from the penalty's own canonical vertex
+    @pytest.mark.parametrize(
+        "theta, lam, why",
+        [
+            (OrderStat(rank=2), [3e-9, 1e-9, -2e-9], "not leading"),
+            (EigGapMax(), [1.0, 1.0 - 1.5e-8, 0.0], "upper endpoint"),
+        ],
+        ids=["order-stat", "eig-gap"],
+    )
+    def test_cluster_inside_default_width_is_a_tie(self, theta, lam, why):
+        x = np.diag(lam)
+        es = eig(x)
+        assert es.cluster_tol == tie_width(max(abs(v) for v in lam))
+        assert es.r < len(lam)  # eig joins the close pair
+        with pytest.raises(UnsupportedPointError, match=why):
+            spectral_subgradient(theta, x)
+        with pytest.raises(UnsupportedPointError, match=why):
+            spectral_subderivative(theta, x, np.ones((3, 3)))
 
 
 class TestLeadingEigenvalue:
