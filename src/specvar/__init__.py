@@ -23,7 +23,7 @@ from .symmat import (
     fan_gap,
     pinv_shift,
 )
-from .perturb import EigDirDeriv, eig_dir_derivative, eig_second_prediction, ell_index
+from .perturb import EigDirDeriv, eig_dir_derivative, eig_second_prediction
 from .symfun import (
     EigGapMax,
     GqfCertificate,
@@ -96,7 +96,6 @@ __all__ = [
     "EigDirDeriv",
     "eig_dir_derivative",
     "eig_second_prediction",
-    "ell_index",
     "SymmetricFunction",
     "OrderStat",
     "McpSum",

@@ -89,12 +89,3 @@ def eig_second_prediction(es: EigenSystem, h, t: float) -> np.ndarray:
             out[b] = es.mu[m] + np.linalg.eigvalsh(core)[::-1]
     return out
 
-
-def ell_index(es: EigenSystem, i: int) -> int:
-    """1-based position of the i-th eigenvalue (i itself 1-based) within its
-    own cluster; this is the rank selecting the matching compressed
-    eigenvalue."""
-    if not 1 <= i <= es.n:
-        raise IndexError(f"eigenvalue index {i} out of range 1..{es.n}")
-    m = es.block_of(i - 1)
-    return i - es.blocks[m].start

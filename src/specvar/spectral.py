@@ -68,15 +68,16 @@ def lifted(theta: SymmetricFunction):
     """The lift as a plain callable on symmetric arrays, for oracle use.
 
     It also takes an (S, n, n) stack and returns the S values from one
-    stacked eigvalsh, bit-identical to S separate calls, with theta.value
-    applied per row.  The attribute ``accepts_stack`` tells the oracles so;
-    a function attribute survives functools.wraps around the callable."""
+    stacked eigvalsh and one theta.value call on the (S, n) stack of
+    spectra, bit-identical to S separate calls.  The attribute
+    ``accepts_stack`` tells the oracles so; a function attribute survives
+    functools.wraps around the callable."""
 
     def f(a):
         if isinstance(a, np.ndarray) and a.ndim == 3:
             if a.shape[1] != a.shape[2] or a.size == 0 or not np.all(np.isfinite(a)):
                 raise ValueError(f"expected a finite stack of square matrices, got shape {a.shape}")
-            return np.array([theta.value(w[::-1]) for w in np.linalg.eigvalsh(a)])
+            return theta.value(np.linalg.eigvalsh(a)[:, ::-1])
         w = np.linalg.eigvalsh(as_sym_array(a))
         return theta.value(w[::-1])
 

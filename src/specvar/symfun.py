@@ -43,6 +43,20 @@ def _vec(x) -> np.ndarray:
     return a
 
 
+def _rows(x) -> np.ndarray:
+    """A vector (n,) or a stack (S, n) of vectors, as a float array."""
+    a = np.asarray(x, dtype=float)
+    if a.ndim not in (1, 2):
+        raise ValueError(f"expected a vector or an (S, n) stack, got shape {a.shape}")
+    return a
+
+
+def _per_row(v):
+    """A value reduced over the last axis: a float for a vector, the (S,)
+    array for a stack."""
+    return float(v) if v.ndim == 0 else v
+
+
 def _tie_tol(x: np.ndarray) -> float:
     """Width within which coordinates count as tied: ``eig``'s default
     clustering width for a spectrum x (``symmat.tie_width``)."""
@@ -181,7 +195,11 @@ class SymmetricFunction:
     polyhedral: bool = False
     name: str = ""
 
-    def value(self, x) -> float:
+    def value(self, x):
+        """theta at a vector x of shape (n,), as a float, or at each row of
+        an (S, n) stack, as an (S,) array: one formula reduces over the last
+        axis, so row s of a stack gets exactly the float of value(x[s]).
+        Any other shape raises ValueError."""
         raise NotImplementedError
 
     def subgradients(self, x) -> SubgradientSet:
@@ -280,8 +298,12 @@ class OrderStat(SymmetricFunction):
             raise ValueError(f"rank {self.rank} exceeds dimension {x.size}")
         return np.sort(x)[::-1]
 
-    def value(self, x) -> float:
-        return float(self._sorted(_vec(x))[self.rank - 1])
+    def value(self, x):
+        x = _rows(x)
+        n = x.shape[-1]
+        if self.rank > n:
+            raise ValueError(f"rank {self.rank} exceeds dimension {n}")
+        return _per_row(np.sort(x)[..., n - self.rank])
 
     def _active(self, x: np.ndarray) -> np.ndarray:
         xs = self._sorted(x)
@@ -342,12 +364,14 @@ class EigGapMax(SymmetricFunction):
     polyhedral = True
     name = "eig_gap"
 
-    def value(self, x) -> float:
-        x = _vec(x)
-        if x.size < 2:
+    def value(self, x):
+        x = _rows(x)
+        if x.shape[-1] < 2:
             raise ValueError("gap penalty needs at least two coordinates")
-        xs = np.sort(x)[::-1]
-        return float(np.max(xs[:-1] - xs[1:]))
+        # gaps from the top down: which of +0.0 and -0.0 a zero max returns
+        # depends on their order
+        xs = np.sort(x)[..., ::-1]
+        return _per_row((xs[..., :-1] - xs[..., 1:]).max(axis=-1))
 
     def _require_sorted(self, x: np.ndarray) -> None:
         if x.size < 2:
@@ -473,8 +497,8 @@ class McpSum(SymmetricFunction):
         """Single-coordinate penalty value (handy for 1-D oracles)."""
         return float(np.sum(self.phi(t)))
 
-    def value(self, x) -> float:
-        return float(np.sum(self.phi(_vec(x))))
+    def value(self, x):
+        return _per_row(self.phi(_rows(x)).sum(axis=-1))
 
     def subgradients(self, x) -> SubgradientSet:
         x = _vec(x)
@@ -570,9 +594,10 @@ class SmoothSep(SymmetricFunction):
             raise ValueError("coeff must be finite")
         object.__setattr__(self, "coeff", float(self.coeff))
 
-    def value(self, x) -> float:
-        x = _vec(x)
-        return 0.5 * self.coeff * float(x @ x)
+    def value(self, x):
+        # the stacked matmul gives ddot's bits, row by row and for a vector
+        x = _rows(x)
+        return _per_row(0.5 * self.coeff * (x[..., None, :] @ x[..., :, None])[..., 0, 0])
 
     def gradient(self, x) -> np.ndarray:
         return self.coeff * _vec(x)

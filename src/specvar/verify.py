@@ -157,6 +157,12 @@ def _check_leading_route(rng) -> CheckResult:
     )
 
 
+def _row_dots(a: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix in an (S, n, n) stack."""
+    flat = a.reshape(len(a), -1)
+    return (flat[:, None, :] @ flat[:, :, None])[:, 0, 0]
+
+
 def _check_prox(rng) -> CheckResult:
     failures = 0
     for theta, gamma in [(McpSum(a=2.0, c=1.0), 0.25), (SmoothSep(1.0), 1.0)]:
@@ -166,11 +172,14 @@ def _check_prox(rng) -> CheckResult:
             res = spectral_prox(theta, gamma, x)
             p = res.matrix.entries
             base = f(p) + float(np.vdot(p - x, p - x)) / (2.0 * gamma)
-            for _ in range(200):
-                w = p + 0.1 * random_symmetric(rng, 4, frob=1.0)
-                cand = f(w) + float(np.vdot(w - x, w - x)) / (2.0 * gamma)
-                if cand < base - 1e-10:
-                    failures += 1
+            # 200 unit-norm symmetric probes: random_symmetric's draws and
+            # arithmetic, stacked (the matmul norms give ddot's bits)
+            a = rng.standard_normal((200, 4, 4))
+            a = (a + a.transpose(0, 2, 1)) / 2.0
+            a *= 1.0 / np.sqrt(_row_dots(a))[:, None, None]
+            w = p + 0.1 * a
+            cand = f(w) + _row_dots(w - x) / (2.0 * gamma)
+            failures += int(np.count_nonzero(cand < base - 1e-10))
     dirres = prox_directional_derivative(
         SmoothSep(1.0), 1.0, random_symmetric(rng, 3), random_symmetric(rng, 3)
     )

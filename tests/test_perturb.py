@@ -7,7 +7,6 @@ from specvar import (
     eig,
     eig_dir_derivative,
     eig_second_prediction,
-    ell_index,
     random_symmetric,
 )
 from conftest import clustered_matrix, key_rng, rotate_within_blocks
@@ -114,21 +113,3 @@ class TestSecondPrediction:
         slope = np.polyfit(np.log(ts), np.log(res), 1)[0]
         assert 2.7 <= slope <= 3.3
 
-
-class TestEllIndex:
-    def test_positions_within_tied_cluster(self):
-        es = eig(np.diag([3.0, 1.0, 1.0]))
-        assert ell_index(es, 1) == 1
-        assert ell_index(es, 2) == 1
-        assert ell_index(es, 3) == 2
-
-    def test_simple_spectrum_is_all_ones(self):
-        es = eig(np.diag([3.0, 2.0, 1.0]))
-        assert [ell_index(es, i) for i in (1, 2, 3)] == [1, 1, 1]
-
-    def test_out_of_range(self):
-        es = eig(np.eye(2))
-        with pytest.raises(IndexError):
-            ell_index(es, 0)
-        with pytest.raises(IndexError):
-            ell_index(es, 3)

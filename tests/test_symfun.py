@@ -16,6 +16,7 @@ from specvar import (
     SmoothSep,
     SubgradientSet,
     UnsupportedPointError,
+    lifted,
     spec_from_json,
     spec_to_json,
 )
@@ -65,6 +66,77 @@ class TestValues:
             OrderStat(rank=0)
         with pytest.raises(ValueError):
             EigGapMax().value([1.0])
+
+
+def penalties(n):
+    """Every shipped penalty that takes n coordinates, every OrderStat rank."""
+    out = [OrderStat(rank=k) for k in range(1, n + 1)]
+    out += [McpSum(a=2.0, c=1.0), McpSum(a=3.7, c=0.4), SmoothSep(coeff=1.0), SmoothSep(coeff=-2.3)]
+    return out + [EigGapMax()] * (n >= 2)
+
+
+def tied_stack(seed, rows, n, scale):
+    """Gaussian rows times ``scale``, with exact ties, zeros of both signs
+    and integer-valued rows mixed in."""
+    rng = key_rng(41, seed)
+    a = scale * rng.standard_normal((rows, n))
+    a[::3, : n // 2] = a[::3, :1]
+    a[1::4] = np.round(a[1::4])
+    a[2::5, -1] = -0.0
+    a[rng.random((rows, n)) < 0.1] = 0.0
+    return a
+
+
+class TestStackedValues:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 10),
+        st.integers(1, 300),
+        st.floats(-3.0, 3.0),
+        st.integers(0, 10_000),
+    )
+    def test_stack_equals_rows_bitwise(self, n, rows, log_scale, seed):
+        a = tied_stack(seed, rows, n, 10.0**log_scale)
+        for f in penalties(n):
+            stacked = f.value(a)
+            assert stacked.shape == (rows,)
+            one_by_one = np.array([f.value(row) for row in a])
+            assert stacked.view(np.int64).tolist() == one_by_one.view(np.int64).tolist()
+
+    def test_vector_gives_float(self):
+        x = np.array([3.0, -1.0, 0.5])
+        for f in penalties(3):
+            assert type(f.value(x)) is float
+            assert type(f.value(list(x))) is float
+
+    @pytest.mark.parametrize("shape", [(), (2, 3, 3)])
+    def test_other_ndim_raises(self, shape):
+        for f in penalties(3):
+            with pytest.raises(ValueError):
+                f.value(np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 3)])
+    def test_rank_above_n_raises(self, shape):
+        with pytest.raises(ValueError):
+            OrderStat(rank=4).value(np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(1,), (4, 1)])
+    def test_gap_needs_two_coordinates(self, shape):
+        with pytest.raises(ValueError):
+            EigGapMax().value(np.ones(shape))
+
+    def test_lifted_stack_calls_value_once(self, monkeypatch):
+        calls = []
+        value = OrderStat.value
+
+        def counted(self, x):
+            calls.append(np.shape(x))
+            return value(self, x)
+
+        monkeypatch.setattr(OrderStat, "value", counted)
+        a = key_rng(42).standard_normal((7, 4, 4))
+        out = lifted(OrderStat(rank=2))((a + a.transpose(0, 2, 1)) / 2.0)
+        assert calls == [(7, 4)] and out.shape == (7,)
 
 
 class TestSubgradients:
