@@ -43,7 +43,7 @@ def remainders(cfg: ExperimentConfig, rng: np.random.Generator):
     x, _ = matrix_with_spectrum(rng, lam)
     es = eig(x)
     h = random_symmetric(rng, cfg.n, frob=cfg.direction_norm)
-    dd = eig_dir_derivative(es, h).vector
+    dd = eig_dir_derivative(es, h)
     r1, r2 = [], []
     for t in cfg.t_grid:
         lam_t = np.sort(np.linalg.eigvalsh(x + t * h))[::-1]

@@ -11,19 +11,18 @@ independently approximate each of those objects for cross-validation.
 __version__ = "0.1.0"
 
 from .errors import EigenSolveError, InvalidSubgradientError, OracleError, UnsupportedPointError
-from .extreal import POS_INF, ExtReal, ext_sum
+from .extreal import POS_INF, ExtReal
 from .symmat import (
     BlockPermutation,
     EigenSystem,
     SymMatrix,
     as_sym_array,
     block_sort_permutation,
-    default_cluster_tol,
     eig,
     fan_gap,
     pinv_shift,
 )
-from .perturb import EigDirDeriv, eig_dir_derivative, eig_second_prediction
+from .perturb import eig_dir_derivative, eig_second_prediction
 from .symfun import (
     EigGapMax,
     GqfCertificate,
@@ -83,7 +82,6 @@ __all__ = [
     "UnsupportedPointError",
     "ExtReal",
     "POS_INF",
-    "ext_sum",
     "SymMatrix",
     "EigenSystem",
     "BlockPermutation",
@@ -92,8 +90,6 @@ __all__ = [
     "pinv_shift",
     "fan_gap",
     "block_sort_permutation",
-    "default_cluster_tol",
-    "EigDirDeriv",
     "eig_dir_derivative",
     "eig_second_prediction",
     "SymmetricFunction",

@@ -84,11 +84,3 @@ class ExtReal:
 
 
 POS_INF = ExtReal(math.inf)
-
-
-def ext_sum(terms) -> ExtReal:
-    """Sum of extended reals; +infinity is absorbing."""
-    total = ExtReal(0.0)
-    for t in terms:
-        total = total + t
-    return total

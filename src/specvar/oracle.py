@@ -431,6 +431,8 @@ def numeric_prox(
     from x plus ``restarts`` random restarts.
     """
     gamma = float(gamma)
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     xa = _as_point(x)

@@ -15,18 +15,6 @@ from .symmat import EigenSystem, as_sym_array, fan_gap
 
 
 @dataclass(frozen=True)
-class EigDirDeriv:
-    """Directional derivative of the ordered eigenvalue map.
-
-    ``per_block[m]`` holds the nonincreasing spectrum of the m-th cluster
-    compression; ``vector`` is their concatenation in cluster order.
-    """
-
-    per_block: tuple[np.ndarray, ...]
-    vector: np.ndarray
-
-
-@dataclass(frozen=True)
 class _Rotated:
     """A direction H in the eigenbasis of X: ``ht`` = U^T H U, symmetrized;
     ``inv_gap[j, k]`` = 1 / (mu_b(j) - mu_b(k)), 0 within a cluster, so row j
@@ -35,7 +23,7 @@ class _Rotated:
     es: EigenSystem
     ht: np.ndarray
     inv_gap: np.ndarray
-    dd: EigDirDeriv
+    dd: np.ndarray
 
     def coupling(self) -> np.ndarray:
         """(U^T H (mu_b(j) I - X)^+ H U)_jj = sum_k Ht_jk^2 inv_gap[j, k]."""
@@ -60,16 +48,17 @@ def _rotate(es: EigenSystem, h) -> _Rotated:
     mu = es.mu[ids]
     inv_gap = np.zeros((es.n, es.n))
     np.divide(1.0, mu[:, None] - mu[None, :], out=inv_gap, where=ids[:, None] != ids[None, :])
-    vector = np.diag(ht).copy()
+    dd = np.diag(ht).copy()
     for b in es.blocks:
         if len(b) > 1:
-            vector[b] = np.linalg.eigvalsh(ht[np.ix_(b, b)])[::-1]
-    per_block = np.split(vector, [b.stop for b in es.blocks[:-1]])
-    return _Rotated(es, ht, inv_gap, EigDirDeriv(tuple(per_block), vector))
+            dd[b] = np.linalg.eigvalsh(ht[np.ix_(b, b)])[::-1]
+    return _Rotated(es, ht, inv_gap, dd)
 
 
-def eig_dir_derivative(es: EigenSystem, h) -> EigDirDeriv:
-    """First-order movement of all eigenvalues in direction ``h``."""
+def eig_dir_derivative(es: EigenSystem, h) -> np.ndarray:
+    """First-order movement of all eigenvalues in direction ``h``: the
+    (n,) vector whose entries over cluster m are the nonincreasing spectrum
+    of the compression U_m^T H U_m."""
     return _rotate(es, h).dd
 
 

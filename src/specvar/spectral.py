@@ -136,8 +136,7 @@ def spectral_subderivative(
     """Directional derivative of the lift: the penalty subderivative along
     the eigenvalue directional derivative."""
     es = _as_eigensystem(x, cluster_tol)
-    dd = eig_dir_derivative(es, h)
-    return theta.subderivative(es.lam, dd.vector)
+    return theta.subderivative(es.lam, eig_dir_derivative(es, h))
 
 
 def subderivative_gap(
@@ -154,7 +153,7 @@ def subderivative_gap(
 
 def _in_critical_cone(theta: SymmetricFunction, triple: SubgradientTriple, rot: _Rotated) -> bool:
     """Both halves of the structural cone test, for a checked subgradient."""
-    if not theta._in_cone(rot.es.lam, triple.v, rot.dd.vector):
+    if not theta._in_cone(rot.es.lam, triple.v, rot.dd):
         return False
     return bool(np.all(rot.fan_gaps(triple.y) <= FAN_TOL))
 
@@ -280,11 +279,11 @@ def spectral_second_subderivative(
     hm = as_sym_array(h)
     rot = _rotate(es, hm)
     dd = rot.dd
-    dg = theta.subderivative(es.lam, dd.vector)
+    dg = theta.subderivative(es.lam, dd)
     pairing = float(triple.y @ np.diag(rot.ht))
     gaps = rot.fan_gaps(triple.y)
-    theta_d2 = theta.second_subderivative(es.lam, triple.v, dd.vector)  # checks v
-    in_cone = theta._in_cone(es.lam, triple.v, dd.vector) and bool(np.all(gaps <= FAN_TOL))
+    theta_d2 = theta.second_subderivative(es.lam, triple.v, dd)  # checks v
+    in_cone = theta._in_cone(es.lam, triple.v, dd) and bool(np.all(gaps <= FAN_TOL))
     corr = 2.0 * float(triple.y @ rot.coupling())
     d2 = theta_d2 + corr if in_cone else POS_INF
     oracle_d2 = None
@@ -305,7 +304,7 @@ def spectral_second_subderivative(
         ambiguous_clustering=es.ambiguous,
         y=triple.y.copy(),
         value=theta.value(es.lam),
-        eig_dir=dd.vector.copy(),
+        eig_dir=dd.copy(),
         dg=dg,
         pairing=pairing,
         fan_gaps=gaps,
@@ -363,7 +362,7 @@ def second_semiderivative(
     grad = theta.gradient(es.lam)
     hess = theta.hessian_diagonal(es.lam)
     rot = _rotate(es, h)
-    return float(hess @ (rot.dd.vector**2) + 2.0 * grad @ rot.coupling())
+    return float(hess @ (rot.dd**2) + 2.0 * grad @ rot.coupling())
 
 
 @dataclass(frozen=True)

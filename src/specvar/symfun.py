@@ -16,9 +16,16 @@ proximal mapping (closed form where available, brute-force fallback
 otherwise), and -- for the polyhedral families -- a certificate of whether
 the second subderivative is a generalized quadratic on a subspace.
 
-Subgradient membership is tested to an absolute tolerance of 1e-9; active
-sets and tie detection use a relative tolerance of 1e-8, matching the
-eigenvalue clustering scale upstream.
+The two polyhedral subdifferentials are simplices with linearly
+independent vertices, e_i for ``OrderStat`` and e_i - e_(i+1) for
+``EigGapMax``, so hull membership and the relative-interior certificate
+have closed forms: the coefficients of y are y_S or cumsum(y)_S.  No LP
+and no scipy call is involved.
+
+Subgradient membership is tested to an absolute tolerance of 1e-9 in the
+sup norm; active sets and tie detection use a relative tolerance of 1e-8,
+matching the eigenvalue clustering scale upstream.  Vector arguments of
+unequal lengths raise ValueError.
 """
 from __future__ import annotations
 
@@ -43,6 +50,15 @@ def _vec(x) -> np.ndarray:
     return a
 
 
+def _vecs(*xs) -> tuple[np.ndarray, ...]:
+    """The arguments as float vectors of one common length; unequal
+    lengths raise ValueError instead of broadcasting."""
+    out = tuple(map(_vec, xs))
+    if any(a.size != out[0].size for a in out):
+        raise ValueError(f"vectors of unequal lengths {[a.size for a in out]}")
+    return out
+
+
 def _rows(x) -> np.ndarray:
     """A vector (n,) or a stack (S, n) of vectors, as a float array."""
     a = np.asarray(x, dtype=float)
@@ -64,66 +80,62 @@ def _tie_tol(x: np.ndarray) -> float:
     return tie_width(scale)
 
 
+# Nothing calls this; perfbench/spans.py looks the name up to count hull LPs.
 def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on first use: most calls never need it."""
+    """scipy.optimize.linprog, imported on first use."""
     from scipy.optimize import linprog as scipy_linprog
 
     return scipy_linprog(*args, **kwargs)
 
 
-def _hull_fit(vertices: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """Best sup-norm approximation of y by a convex combination of the rows
-    of ``vertices``; returns (coefficients, residual)."""
-    k, n = vertices.shape
-    cost = np.zeros(k + 1)
-    cost[-1] = 1.0
-    vt = vertices.T
-    ones = np.ones((n, 1))
-    a_ub = np.block([[vt, -ones], [-vt, -ones]])
-    b_ub = np.concatenate([y, -y])
-    a_eq = np.zeros((1, k + 1))
-    a_eq[0, :k] = 1.0
-    res = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=[1.0],
-        bounds=[(0.0, None)] * k + [(0.0, None)],
-        method="highs",
+def _hull_support(v: np.ndarray) -> tuple[bool, np.ndarray]:
+    """Read hull vertices as unit vectors e_i or gap vertices e_i - e_(i+1):
+    whether they are gap vertices, and the index i of each row.  Either
+    family is linearly independent, so every point of the hull has unique
+    coefficients.  Any other vertex set raises ValueError."""
+    n = v.shape[1]
+    i = np.argmax(v, axis=1)
+    eye = np.eye(n)
+    if np.array_equal(v, eye[i]):
+        return False, i
+    if np.all(i < n - 1) and np.array_equal(v, eye[i] - eye[i + 1]):
+        return True, i
+    raise ValueError(
+        "hull membership has a closed form only for unit vectors e_i and gap "
+        "vertices e_i - e_(i+1), the subdifferentials of the shipped penalties"
     )
-    if not res.success:
-        raise RuntimeError(f"hull membership LP failed: {res.message}")
-    return res.x[:k], float(res.x[-1])
 
 
-def _hull_interior_slack(vertices: np.ndarray, y: np.ndarray, fit_tol: float) -> float:
-    """Largest s such that y is a convex combination (within fit_tol) with
-    all coefficients >= s.  Negative when y sits on the hull boundary."""
-    k, n = vertices.shape
-    cost = np.zeros(k + 1)
-    cost[-1] = -1.0
-    vt = vertices.T
-    zeros = np.zeros((n, 1))
-    rows_fit = np.block([[vt, zeros], [-vt, zeros]])
-    b_fit = np.concatenate([y + fit_tol, -y + fit_tol])
-    rows_slack = np.hstack([-np.eye(k), np.ones((k, 1))])
-    a_ub = np.vstack([rows_fit, rows_slack])
-    b_ub = np.concatenate([b_fit, np.zeros(k)])
-    a_eq = np.zeros((1, k + 1))
-    a_eq[0, :k] = 1.0
-    res = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=[1.0],
-        bounds=[(0.0, None)] * k + [(None, None)],
-        method="highs",
-    )
-    if not res.success:
-        return -np.inf
-    return float(res.x[-1])
+def _gap_hull_meets(y: np.ndarray, s: np.ndarray, tol: float) -> bool:
+    """Whether conv{e_i - e_(i+1) : i in s} comes within sup-norm tol of y.
+
+    A hull point z has prefix sums cumsum(z) = c, its coefficients (zero
+    off s and at n-1), so E = cumsum(y) - c = cumsum(y - z) is a path from
+    E_(-1) = 0 with steps of at most tol, equal to p = cumsum(y) off s and
+    at n-1 and at most p on s.  Such paths are closed under max and min:
+    the highest, hi, is the lowest cone p_j + tol |i - j| over every anchor
+    (j = -1 with p = 0), the lowest, lo, the highest cone p_j - tol |i - j|
+    over the anchors off s.  A path exists iff lo <= hi, and sum_s(p - E)
+    = sum(c) = 1 is attainable iff it lies between its values at hi and lo.
+    """
+    n = y.size
+    p = np.cumsum(y)
+    on = np.zeros(n, dtype=bool)
+    on[s] = True
+    anchor = np.concatenate([[0.0], p])
+    pinned = np.concatenate([[True], ~on])
+    cone = tol * np.abs(np.arange(n)[:, None] - np.arange(-1, n)[None, :])
+    hi = np.min(anchor + cone, axis=1)
+    lo = np.max(anchor[pinned] - cone[:, pinned], axis=1)
+    return bool(np.all(lo <= hi) and (p - hi)[on].sum() <= 1.0 <= (p - lo)[on].sum())
+
+
+def _null_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the null space of a, as columns, with the rank
+    cutoff of scipy.linalg.null_space: max(a.shape) * eps * s_max."""
+    _, sv, vh = np.linalg.svd(a, full_matrices=True)
+    rank = int(np.sum(sv > max(a.shape) * np.finfo(float).eps * sv.max()))
+    return vh[rank:].T
 
 
 @dataclass(frozen=True)
@@ -142,25 +154,28 @@ class SubgradientSet:
     point: np.ndarray | None = None
 
     def contains(self, y, tol: float = SUBGRADIENT_TOL) -> bool:
-        y = _vec(y)
+        """Whether y lies within sup-norm distance tol of the set."""
         if self.kind == "point":
-            return bool(np.max(np.abs(y - self.point)) <= tol)
+            y, point = _vecs(y, self.point)
+            return bool(np.max(np.abs(y - point)) <= tol)
         if self.kind == "box":
+            y, _ = _vecs(y, self.lower)
             return bool(
                 np.all(y >= self.lower - tol) and np.all(y <= self.upper + tol)
             )
         v = np.asarray(self.vertices)
-        if len(v) == 1:  # a single point: no LP needed
+        y, _ = _vecs(y, v[0])
+        if len(v) == 1:  # a single point
             return bool(np.max(np.abs(y - v[0])) <= tol)
-        if np.all((v == 0.0) | (v == 1.0)) and np.all(v.sum(axis=1) == 1.0):
-            # conv{e_i : i in S}: y is tol-close to 0 off S and to some
-            # simplex point on S, i.e. the tol-box around y_S meets it
-            on = v.any(axis=0)
-            lo, hi = np.maximum(y[on] - tol, 0.0), y[on] + tol
-            off = np.max(np.abs(y[~on]), initial=0.0)
-            return bool(off <= tol and hi.min() >= 0.0 and lo.sum() <= 1.0 <= hi.sum())
-        _, resid = _hull_fit(v, y)
-        return resid <= tol
+        gaps, s = _hull_support(v)
+        if gaps:
+            return _gap_hull_meets(y, s, tol)
+        # conv{e_i : i in S}: y is tol-close to 0 off S and to some
+        # simplex point on S, i.e. the tol-box around y_S meets it
+        on = v.any(axis=0)
+        lo, hi = np.maximum(y[on] - tol, 0.0), y[on] + tol
+        off = np.max(np.abs(y[~on]), initial=0.0)
+        return bool(off <= tol and hi.min() >= 0.0 and lo.sum() <= 1.0 <= hi.sum())
 
     def canonical_vertex(self) -> np.ndarray:
         """Deterministic representative: the lexicographically smallest
@@ -230,9 +245,7 @@ class SymmetricFunction:
         """True when the subderivative at w matches <y, w> to within
         1e-8 * (1 + ||w||): the two characterizations of the critical cone
         coincide for these penalties."""
-        x = _vec(x)
-        y = _vec(y)
-        w = _vec(w)
+        x, y, w = _vecs(x, y, w)
         self.check_subgradient(x, y)
         return self._in_cone(x, y, w)
 
@@ -244,34 +257,27 @@ class SymmetricFunction:
     def gqf_certificate(self, x, y) -> GqfCertificate:
         """For polyhedral penalties: the second subderivative at (x, y) is a
         generalized quadratic exactly when y lies in the relative interior
-        of the subdifferential; the certificate's subspace is the common
-        orthogonal complement of the active-generator differences."""
+        of the subdifferential, i.e. when every coefficient of y over the
+        active vertices is positive (the vertices are linearly independent,
+        so the coefficients are unique: y_S for unit vectors, cumsum(y)_S
+        for gap vertices).  A coefficient must clear RI_SLACK by the
+        membership tolerance, which alone moves it that far.  The
+        certificate's subspace is the common orthogonal complement of the
+        active-vertex differences."""
         if not self.polyhedral:
             raise UnsupportedPointError(
                 f"{self.name} is not polyhedral; no generalized-quadratic certificate"
             )
-        x = _vec(x)
-        y = _vec(y)
-        gens = self.subgradients(x)
+        x, y = _vecs(x, y)
         self.check_subgradient(x, y)
-        if gens.kind == "point":
-            verts = np.asarray(gens.point)[None, :]
-        else:
-            verts = np.asarray(gens.vertices)
-        n = verts.shape[1]
-        if verts.shape[0] == 1:
-            return GqfCertificate(True, np.eye(n))
-        _, resid = _hull_fit(verts, y)
-        fit_tol = max(resid, SUBGRADIENT_TOL)
-        slack = _hull_interior_slack(verts, y, fit_tol)
-        # the fit tolerance alone buys coefficients up to fit_tol, so genuine
-        # relative-interior membership must clear it with margin
-        if slack < RI_SLACK + fit_tol:
+        verts = np.asarray(self.subgradients(x).vertices)
+        if len(verts) == 1:
+            return GqfCertificate(True, np.eye(x.size))
+        gaps, s = _hull_support(verts)
+        coeffs = (np.cumsum(y) if gaps else y)[s]
+        if coeffs.min() < RI_SLACK + SUBGRADIENT_TOL:
             return GqfCertificate(False, None)
-        from scipy.linalg import null_space
-
-        basis = null_space(verts[1:] - verts[0])
-        return GqfCertificate(True, basis)
+        return GqfCertificate(True, _null_space(verts[1:] - verts[0]))
 
 
 @dataclass(frozen=True)
@@ -322,8 +328,7 @@ class OrderStat(SymmetricFunction):
         return SubgradientSet(kind="hull", vertices=np.eye(x.size)[idx])
 
     def subderivative(self, x, w) -> float:
-        x = _vec(x)
-        w = _vec(w)
+        x, w = _vecs(x, w)
         return float(np.max(w[self._active(x)]))
 
     def second_subderivative(self, x, y, w) -> ExtReal:
@@ -425,8 +430,7 @@ class EigGapMax(SymmetricFunction):
         return SubgradientSet(kind="hull", vertices=verts)
 
     def subderivative(self, x, w) -> float:
-        x = _vec(x)
-        w = _vec(w)
+        x, w = _vecs(x, w)
         idx = self._active(x)
         return float(np.max(w[idx] - w[idx + 1]))
 
@@ -493,10 +497,6 @@ class McpSum(SymmetricFunction):
         inner = np.abs(t) <= self.a * self.c
         return np.where(inner, np.sign(t) * self.c - t / self.a, 0.0)
 
-    def scalar_value(self, t: float) -> float:
-        """Single-coordinate penalty value (handy for 1-D oracles)."""
-        return float(np.sum(self.phi(t)))
-
     def value(self, x):
         return _per_row(self.phi(_rows(x)).sum(axis=-1))
 
@@ -509,16 +509,13 @@ class McpSum(SymmetricFunction):
         return SubgradientSet(kind="box", lower=lower, upper=upper)
 
     def subderivative(self, x, w) -> float:
-        x = _vec(x)
-        w = _vec(w)
+        x, w = _vecs(x, w)
         zero = np.abs(x) <= _tie_tol(x)
         g = self.phi_prime(x)
         return float(np.sum(np.where(zero, self.c * np.abs(w), g * w)))
 
     def second_subderivative(self, x, y, w) -> ExtReal:
-        x = _vec(x)
-        y = _vec(y)
-        w = _vec(w)
+        x, y, w = _vecs(x, y, w)
         self.check_subgradient(x, y)
         tol = _tie_tol(x)
         cap = self.a * self.c
@@ -609,17 +606,18 @@ class SmoothSep(SymmetricFunction):
         return SubgradientSet(kind="point", point=self.gradient(x))
 
     def subderivative(self, x, w) -> float:
-        return float(self.gradient(x) @ _vec(w))
+        x, w = _vecs(x, w)
+        return float(self.gradient(x) @ w)
 
     def second_subderivative(self, x, y, w) -> ExtReal:
-        x = _vec(x)
-        y = _vec(y)
-        w = _vec(w)
+        x, y, w = _vecs(x, y, w)
         self.check_subgradient(x, y)
         return ExtReal(self.coeff * float(w @ w))
 
     def prox(self, gamma: float, x) -> ProxResult:
         gamma = float(gamma)
+        if not np.isfinite(gamma):
+            raise ValueError(f"gamma must be finite, got {gamma}")
         if gamma <= 0:
             raise ValueError("gamma must be positive")
         if 1.0 + gamma * self.coeff <= 0:

@@ -75,9 +75,6 @@ class SymMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def spectral_norm(self) -> float:
-        return float(np.max(np.abs(np.linalg.eigvalsh(self.entries))))
-
 
 def tie_width(scale: float) -> float:
     """Width within which two eigenvalues of a spectrum of largest modulus
@@ -85,12 +82,6 @@ def tie_width(scale: float) -> float:
     by default and the penalties in ``symfun`` judge ties with it, so at
     the default tolerance both read a spectrum the same way."""
     return CLUSTER_RTOL * (1.0 + scale)
-
-
-def default_cluster_tol(x) -> float:
-    """Default eigenvalue clustering width: tie_width(||X||_2)."""
-    mat = x if isinstance(x, SymMatrix) else SymMatrix(as_sym_array(x))
-    return tie_width(mat.spectral_norm())
 
 
 @dataclass(frozen=True)
@@ -136,15 +127,6 @@ class EigenSystem:
         """Cluster index of every eigenvalue position."""
         return np.repeat(np.arange(self.r), [len(b) for b in self.blocks])
 
-    def block_of(self, i: int) -> int:
-        """Index of the cluster containing eigenvalue position i."""
-        if not 0 <= i < self.n:
-            raise IndexError(f"eigenvalue index {i} out of range for n={self.n}")
-        return int(self.block_ids[i])
-
-    def reconstruct(self) -> np.ndarray:
-        return self.u @ np.diag(self.lam) @ self.u.T
-
 
 def cluster_means(lam: np.ndarray, bounds) -> np.ndarray:
     """Mean of ``lam`` over each cluster, cluster m covering
@@ -167,7 +149,7 @@ def eig(x, cluster_tol: float | None = None) -> EigenSystem:
         raise EigenSolveError(
             f"symmetric eigendecomposition failed for n={mat.n}: {exc}"
         ) from exc
-    norm = float(np.max(np.abs(w)))  # ||X||_2, as in default_cluster_tol
+    norm = float(np.max(np.abs(w)))  # ||X||_2
     cluster_tol = tie_width(norm) if cluster_tol is None else float(cluster_tol)
     if cluster_tol <= 0.0:
         raise ValueError("cluster_tol must be positive")

@@ -423,25 +423,76 @@ def test_console_entry_point(tmp_path):
 
 
 def test_closed_form_commands_leave_scipy_optimize_unimported(tmp_path):
-    # scipy.optimize is the heaviest import; only the LP and the Powell
-    # search need it, and a distinct spectrum needs neither
-    x = tmp_path / "x.json"
-    x.write_text(json.dumps({"entries": FLAGSHIP}))
-    h = tmp_path / "h.json"
-    h.write_text(json.dumps({"entries": OFFDIAG}))
+    # only the numeric prox needs scipy: every other command runs on closed
+    # forms, an EigGapMax subdifferential with two tied maximal gaps included
+    files = {
+        "x": FLAGSHIP,
+        "h": OFFDIAG,
+        "g": [[4.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0]],
+        "k": [[0.3, 1.0, 0.0], [1.0, -0.2, 0.5], [0.0, 0.5, 0.1]],
+    }
+    for name, rows in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps({"entries": rows}))
+    order, gap = '{"name":"order_stat","i":1}', '{"name":"eig_gap"}'
+    jobs = [
+        ("SSUB", "x", "h", order),
+        ("CRITCONE", "x", "h", order),
+        ("SUBDERIV", "x", "h", order),
+        ("SEMIDERIV", "x", "h", '{"name":"smooth_sep","coeff":1.0}'),
+        ("SSUB", "g", "k", gap),
+        ("CRITCONE", "g", "k", gap),
+    ]
+    argvs = [
+        ["--command", c, "--matrix", str(tmp_path / f"{m}.json"),
+         "--direction", str(tmp_path / f"{d}.json"), "--theta", t]
+        for c, m, d, t in jobs
+    ] + [["--command", "VERIFY", "--seed", "0"]]
     code = (
-        "import sys; from specvar.cli import main; "
-        f"main(['--command', 'SSUB', '--matrix', {str(x)!r}, '--direction', {str(h)!r}, "
-        "'--theta', '{\"name\":\"order_stat\",\"i\":1}', '--out', sys.argv[1]]); "
-        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'"
+        "import json, sys\n"
+        "from specvar.cli import main\n"
+        "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+        "    if main(argv + ['--out', f'{sys.argv[2]}/{i}.json']) != 0:\n"
+        "        sys.exit(f'{argv} failed')\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "sys.exit(f'scipy imported: {loaded}' if loaded else 0)\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path / "out.json")],
+        [sys.executable, "-c", code, json.dumps(argvs), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    tied = json.loads((tmp_path / "4.json").read_text())
+    assert tied["eigen"]["lambda"] == [4.0, 2.0, 0.0]
+    assert tied["outputs"]["y"] == [0.0, 1.0, -1.0]
+
+
+@pytest.mark.parametrize(
+    "theta, gamma",
+    [
+        ('{"name":"order_stat","i":1}', "nan"),
+        ('{"name":"order_stat","i":1}', "inf"),
+        ('{"name":"smooth_sep","coeff":1.0}', "nan"),
+        ('{"name":"smooth_sep","coeff":1.0}', "inf"),
+        ('{"name":"eig_gap"}', "-inf"),
+        ('{"name":"mcp","a":2.0,"c":1.0}', "nan"),
+    ],
+)
+def test_non_finite_gamma_exits_two(theta, gamma, tmp_path):
+    # rejected before any search starts: no optimizer warnings, no zero matrix
+    x = write_json_matrix(tmp_path / "x.json", FLAGSHIP)
+    proc = subprocess.run(
+        [sys.executable, "-m", "specvar.cli", "--command", "PROX",
+         "--matrix", x, "--theta", theta, f"--gamma={gamma}"],
         capture_output=True,
         text=True,
         timeout=60,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 2, proc.stderr
+    assert "gamma" in proc.stderr
+    assert "Warning" not in proc.stderr
+    assert proc.stdout == ""
 
 
 # Bad input files, each loaded once as the base matrix and once as the direction.

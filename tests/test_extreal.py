@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from specvar import POS_INF, ExtReal, ext_sum
+from specvar import POS_INF, ExtReal
 
 
 def test_finite_roundtrip():
@@ -64,9 +64,3 @@ def test_comparisons_mix_floats_and_wrapped():
     assert POS_INF > 1e300
     assert ExtReal(2.0) <= 2.0
     assert POS_INF >= POS_INF
-
-
-def test_ext_sum_short_circuits_on_infinity():
-    assert ext_sum([ExtReal(1.0), ExtReal(2.0)]).value == 3.0
-    assert not ext_sum([ExtReal(1.0), POS_INF, ExtReal(4.0)]).is_finite
-    assert ext_sum([]).value == 0.0

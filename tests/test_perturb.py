@@ -24,26 +24,26 @@ class TestDirectionalDerivative:
         h = random_symmetric(rng, 4)
         d = eig_dir_derivative(es, h)
         expected = np.array([es.u[:, i] @ h @ es.u[:, i] for i in range(4)])
-        assert np.allclose(d.vector, expected, atol=1e-12)
+        assert np.allclose(d, expected, atol=1e-12)
 
     def test_identity_base_point_gives_spectrum_of_direction(self):
         rng = key_rng(22)
         h = random_symmetric(rng, 4)
         es = eig(np.eye(4))
         d = eig_dir_derivative(es, h)
-        assert np.allclose(d.vector, sorted_desc(h), atol=1e-12)
+        assert np.allclose(d, sorted_desc(h), atol=1e-12)
 
     def test_blockwise_structure(self):
         rng = key_rng(23)
         h = random_symmetric(rng, 3)
         es = eig(np.diag([2.0, 1.0, 1.0]))
         d = eig_dir_derivative(es, h)
-        assert len(d.per_block) == 2
+        assert es.r == 2
         u1 = es.block_basis(1)
-        assert np.allclose(d.per_block[1], sorted_desc(u1.T @ h @ u1))
+        assert np.allclose(d[es.blocks[1]], sorted_desc(u1.T @ h @ u1))
         # per-block pieces are nonincreasing
-        for piece in d.per_block:
-            assert np.all(np.diff(piece) <= 1e-12)
+        for b in es.blocks:
+            assert np.all(np.diff(d[b]) <= 1e-12)
 
     def test_matches_finite_differences(self):
         rng = key_rng(24)
@@ -54,15 +54,15 @@ class TestDirectionalDerivative:
             d = eig_dir_derivative(es, h)
             t = 1e-6
             fd = (sorted_desc(x + t * h) - sorted_desc(x)) / t
-            assert np.max(np.abs(fd - d.vector)) <= 1e-5
+            assert np.max(np.abs(fd - d)) <= 1e-5
 
     def test_positive_homogeneity(self):
         rng = key_rng(25)
         x = clustered_matrix(rng, (2, 2), gap=1.0)
         es = eig(x)
         h = random_symmetric(rng, 4)
-        d1 = eig_dir_derivative(es, h).vector
-        d3 = eig_dir_derivative(es, 3.0 * h).vector
+        d1 = eig_dir_derivative(es, h)
+        d3 = eig_dir_derivative(es, 3.0 * h)
         assert np.allclose(d3, 3.0 * d1, atol=1e-12)
 
     def test_invariant_under_block_basis_choice(self):
@@ -71,8 +71,8 @@ class TestDirectionalDerivative:
             x = clustered_matrix(rng, (2, 3), gap=1.0)
             es = eig(x)
             h = random_symmetric(rng, 5)
-            d = eig_dir_derivative(es, h).vector
-            d_rot = eig_dir_derivative(rotate_within_blocks(rng, es), h).vector
+            d = eig_dir_derivative(es, h)
+            d_rot = eig_dir_derivative(rotate_within_blocks(rng, es), h)
             assert np.max(np.abs(d - d_rot)) <= 1e-9
 
     def test_dimension_mismatch(self):

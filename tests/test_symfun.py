@@ -20,8 +20,8 @@ from specvar import (
     spec_from_json,
     spec_to_json,
 )
-from specvar.symfun import _hull_fit
 from conftest import key_rng
+from hull_lp import TIGHT, _hull_fit, lp_gqf_certificate
 
 ALL_KINDS = [OrderStat(rank=1), McpSum(a=2.0, c=1.0), EigGapMax(), SmoothSep(coeff=1.0)]
 
@@ -168,6 +168,34 @@ class TestSubgradients:
         y += rng.uniform(-3.0, 3.0, n) * tol * float(rng.choice([0.0, 0.5, 0.9, 1.1, 2.0]))
         _, resid = _hull_fit(verts, y)
         assert SubgradientSet(kind="hull", vertices=verts).contains(y, tol) == (resid <= tol)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_gap_hull_membership_matches_lp(self, seed):
+        # the closed-form prefix-sum test against the sup-norm hull LP run
+        # with HiGHS feasibility tolerances of 1e-10
+        rng = key_rng(43, seed)
+        n = int(rng.integers(2, 9))
+        idx = np.sort(rng.choice(n - 1, int(rng.integers(1, n)), replace=False))
+        verts = np.eye(n)[idx] - np.eye(n)[idx + 1]
+        tol = float(rng.choice([1e-6, 1e-3, 0.05]))
+        y = rng.dirichlet(np.ones(idx.size)) @ verts
+        y += rng.uniform(-3.0, 3.0, n) * tol * float(rng.choice([0.0, 0.5, 0.9, 1.1, 2.0]))
+        _, resid = _hull_fit(verts, y, TIGHT)
+        assert SubgradientSet(kind="hull", vertices=verts).contains(y, tol) == (resid <= tol)
+
+    def test_gap_hull_tolerance_is_sup_norm(self):
+        s = EigGapMax().subgradients([4.0, 2.0, 0.0])  # conv{(1,-1,0), (0,1,-1)}
+        assert s.contains([0.5, 0.0, -0.5])
+        # the hull point nearest (0.5, -0.5, 0) is (0.75, -0.5, -0.25)
+        assert s.contains([0.5, -0.5, 0.0], tol=0.25)
+        assert not s.contains([0.5, -0.5, 0.0], tol=0.24)
+        assert not s.contains([0.0, 0.0, 0.0], tol=0.49)
+
+    def test_foreign_hull_raises(self):
+        s = SubgradientSet(kind="hull", vertices=np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]))
+        with pytest.raises(ValueError, match="closed form only"):
+            s.contains([0.5, 1.0, 0.5])
 
     def test_order_stat_leading_hypothesis(self):
         # rank 2 needs a strict gap above; (2,2,0) ties ranks 1 and 2
@@ -404,6 +432,74 @@ class TestGqfCertificate:
     def test_non_polyhedral_rejected(self):
         with pytest.raises(UnsupportedPointError):
             McpSum(a=2.0, c=1.0).gqf_certificate([0.0], [0.5])
+
+
+def gqf_instance(rng, gaps):
+    """A polyhedral penalty, a point whose subdifferential has 1 to n - 1
+    (gaps) or 1 to n (unit vectors) vertices, and a convex combination y
+    of them whose coefficients are either exactly 0 or at least 1e-6."""
+    n = int(rng.integers(2, 9))
+    k = int(rng.integers(1, n if gaps else n + 1))
+    idx = np.sort(rng.choice(n - 1 if gaps else n, k, replace=False))
+    if gaps:
+        g = rng.uniform(0.1, 0.5, n - 1)
+        g[idx] = 1.0
+        f, x = EigGapMax(), np.concatenate([np.cumsum(g[::-1])[::-1], [0.0]])
+    else:
+        x = -rng.uniform(1.0, 2.0, n)
+        x[idx] = 0.0
+        f = OrderStat(rank=1)
+    c = 1e-6 + (1.0 - k * 1e-6) * rng.dirichlet(np.ones(k))
+    if rng.random() < 0.5:
+        c[rng.random(k) < 0.4] = 0.0
+        if not c.any():
+            c[0] = 1.0
+        c /= c.sum()
+    verts = f.subgradients(x).vertices
+    assert len(verts) == k
+    return f, x, verts, c @ verts
+
+
+class TestGqfClosedForm:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10_000), st.booleans())
+    def test_matches_lp_certificate(self, seed, gaps):
+        f, x, verts, y = gqf_instance(key_rng(44, seed), gaps)
+        cert = f.gqf_certificate(x, y)
+        ref = lp_gqf_certificate(verts, y, TIGHT)
+        assert cert.is_gqf == ref.is_gqf
+        if cert.is_gqf:
+            b, r = cert.subspace_basis, ref.subspace_basis
+            assert b.shape == r.shape
+            assert np.max(np.abs(b.T @ b - np.eye(b.shape[1])), initial=0.0) <= 1e-12
+            assert np.max(np.abs(b @ b.T - r @ r.T), initial=0.0) <= 1e-12
+
+    def test_gap_vertex_is_not_gqf(self):
+        f = EigGapMax()
+        assert not f.gqf_certificate([4.0, 2.0, 0.0], [1.0, -1.0, 0.0]).is_gqf
+        cert = f.gqf_certificate([4.0, 2.0, 0.0], [0.5, 0.0, -0.5])
+        assert cert.is_gqf
+        # the complement of the vertex difference (-1, 2, -1)
+        assert cert.subspace_basis.shape == (3, 2)
+        assert np.allclose(np.array([-1.0, 2.0, -1.0]) @ cert.subspace_basis, 0.0)
+
+
+class TestVectorLengths:
+    @pytest.mark.parametrize("f", ALL_KINDS, ids=lambda f: f.name)
+    def test_unequal_lengths_raise(self, f):
+        x = np.array([3.0, 1.0, 0.0])
+        y = f.subgradients(x).canonical_vertex()
+        w = np.array([0.5, -1.0, 2.0])
+        for bad in (np.ones(2), np.ones(4)):
+            with pytest.raises(ValueError, match="unequal lengths"):
+                f.subgradients(x).contains(bad)
+            with pytest.raises(ValueError, match="unequal lengths"):
+                f.subderivative(x, bad)
+            for args in ((bad, w), (y, bad)):
+                with pytest.raises(ValueError, match="unequal lengths"):
+                    f.critical_cone_member(x, *args)
+                with pytest.raises(ValueError, match="unequal lengths"):
+                    f.second_subderivative(x, *args)
 
 
 class TestUnsupportedPoints:

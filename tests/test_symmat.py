@@ -9,7 +9,6 @@ from specvar import (
     SymMatrix,
     as_sym_array,
     block_sort_permutation,
-    default_cluster_tol,
     eig,
     fan_gap,
     pinv_shift,
@@ -40,10 +39,6 @@ class TestSymMatrix:
         with pytest.raises(ValueError):
             SymMatrix(np.zeros((0, 0)))
 
-    def test_spectral_norm(self):
-        m = SymMatrix(np.diag([3.0, -5.0]))
-        assert m.spectral_norm() == pytest.approx(5.0)
-
 
 class TestEig:
     def test_identity_is_one_cluster(self):
@@ -72,7 +67,7 @@ class TestEig:
         for k in range(20):
             x = clustered_matrix(rng, (1, 2), gap=1.0)
             es = eig(x)
-            err = np.max(np.abs(es.reconstruct() - x))
+            err = np.max(np.abs(es.u @ np.diag(es.lam) @ es.u.T - x))
             assert err <= 1e-9 * (1.0 + np.abs(x).max())
 
     def test_ambiguous_flag_and_split_near_tolerance(self):
@@ -92,14 +87,8 @@ class TestEig:
         assert not es.ambiguous
 
     def test_default_cluster_tol_tracks_norm(self):
-        assert default_cluster_tol(np.zeros((2, 2))) == pytest.approx(1e-8)
-        assert default_cluster_tol(np.diag([9.0, 0.0])) == pytest.approx(1e-7)
-
-    def test_block_of(self):
-        es = eig(np.diag([3.0, 1.0, 1.0]))
-        assert [es.block_of(i) for i in range(3)] == [0, 1, 1]
-        with pytest.raises(IndexError):
-            es.block_of(3)
+        assert eig(np.zeros((2, 2))).cluster_tol == pytest.approx(1e-8)
+        assert eig(np.diag([9.0, 0.0])).cluster_tol == pytest.approx(1e-7)
 
     def test_rejects_bad_cluster_tol(self):
         with pytest.raises(ValueError):
