@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .errors import EigenSolveError, InvalidSubgradientError, OracleError, UnsupportedPointError
 from .extreal import POS_INF, ExtReal
 from .symmat import (
-    BlockPermutation,
     EigenSystem,
     SymMatrix,
     as_sym_array,
@@ -84,7 +83,6 @@ __all__ = [
     "POS_INF",
     "SymMatrix",
     "EigenSystem",
-    "BlockPermutation",
     "as_sym_array",
     "eig",
     "pinv_shift",

@@ -380,9 +380,22 @@ def _finalize(doc: dict) -> dict:
     return doc
 
 
+def _join_gamma(argv: list[str]) -> list[str]:
+    """argv with each ``--gamma VALUE`` pair written as ``--gamma=VALUE``.
+    argparse takes a separate value such as -inf, -nan or -1e-3 for an
+    option and refuses it, so the package's own check would never see it."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--gamma":
+            out[-1] = f"--gamma={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_gamma(sys.argv[1:] if argv is None else argv))
     try:
         doc, code = run(args)
     except (CliInputError, InvalidSubgradientError) as exc:

@@ -54,9 +54,12 @@ STACK_FLOATS = 1 << 18  # candidate points evaluated per chunk, in floats
 
 
 def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on first use: most calls never need it."""
-    from scipy.optimize import minimize as scipy_minimize
-
+    """scipy.optimize.minimize, imported on first use: most calls never need
+    it.  Without scipy it raises OracleError, a ValueError."""
+    try:
+        from scipy.optimize import minimize as scipy_minimize
+    except ImportError as exc:
+        raise OracleError("numeric_prox needs scipy, which is not installed") from exc
     return scipy_minimize(*args, **kwargs)
 
 
@@ -385,131 +388,45 @@ def epi_attainment_search(
 class NumericProxResult:
     point: np.ndarray
     objective: float
-    widened: bool = False
-
-
-def _prox_objective(f, gamma: float, x: np.ndarray):
-    def obj(wpt: np.ndarray) -> float:
-        return float(f(wpt)) + float(np.vdot(wpt - x, wpt - x)) / (2.0 * gamma)
-
-    return obj
-
-
-def _scalar_grid_min(obj_vec, lo: float, hi: float, step: float) -> tuple[float, float]:
-    """Chunked argmin of a vectorized objective over [lo, hi] with the
-    given step; returns (argmin, min)."""
-    best_w = lo
-    best_v = math.inf
-    chunk = 1_000_000
-    count = int(math.ceil((hi - lo) / step)) + 1
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        grid = lo + step * np.arange(start, stop)
-        vals = obj_vec(grid)
-        k = int(np.argmin(vals))
-        if float(vals[k]) < best_v:
-            best_v = float(vals[k])
-            best_w = float(grid[k])
-    return best_w, best_v
 
 
 def numeric_prox(
     f,
     gamma: float,
     x,
-    step: float = 1e-5,
     restarts: int = 10,
     seed: int = 0,
 ) -> NumericProxResult:
-    """Brute-force proximal point of f at x with parameter gamma.
+    """Brute-force proximal point of f at a vector x with parameter gamma.
 
-    Scalars are handled by exhaustive grid search over
-    [x - 5 gamma (1+|x|), x + 5 gamma (1+|x|)] followed by a bounded local
-    refinement; if the grid minimum lands on the region boundary the region
-    is widened once, and a boundary hit after widening is flagged rather
-    than raised.  Vectors and matrices use derivative-free local descent
-    from x plus ``restarts`` random restarts.
+    Minimizes f(w) + ||w - x||^2 / (2 gamma) by derivative-free Powell
+    searches from x and from ``restarts`` random starts
+    x + (gamma / 2) z, z drawn in turn from
+    default_rng(seed).standard_normal, and keeps the best.  Inputs that are
+    not 1-D raise ValueError; a matrix prox is the vector prox of its
+    spectrum (``spectral.spectral_prox``).
     """
     gamma = float(gamma)
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    xa = _as_point(x)
-    if xa.ndim == 0:
-        x0 = float(xa)
-        obj = _prox_objective(lambda z: f(z), gamma, np.asarray(x0))
+    xa = np.asarray(x, dtype=float)
+    if xa.ndim != 1:
+        raise ValueError(f"numeric_prox searches vectors only, got shape {xa.shape}")
 
-        def obj_vec(grid: np.ndarray) -> np.ndarray:
-            return np.asarray(f(grid), dtype=float) + (grid - x0) ** 2 / (2.0 * gamma)
-
-        radius = 5.0 * gamma * (1.0 + abs(x0))
-        widened = False
-        lo, hi = x0 - radius, x0 + radius
-        for attempt in range(2):
-            w_best, _ = _scalar_grid_min(obj_vec, lo, hi, step)
-            on_edge = abs(w_best - lo) < step or abs(w_best - hi) < step
-            if not on_edge:
-                break
-            if attempt == 0:
-                lo, hi = x0 - 2 * radius, x0 + 2 * radius
-            else:
-                widened = True
-        from scipy.optimize import minimize_scalar
-
-        res = minimize_scalar(
-            lambda z: obj(np.asarray(z)),
-            bounds=(w_best - 2 * step, w_best + 2 * step),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        w_ref = float(res.x)
-        v_ref = float(res.fun)
-        v_grid = obj(np.asarray(w_best))
-        if v_grid < v_ref:
-            w_ref, v_ref = w_best, v_grid
-        return NumericProxResult(np.asarray(w_ref), v_ref, widened)
-
-    sym = xa.ndim == 2
-    n = xa.shape[0] if sym else xa.size
-    if sym:
-        iu = np.triu_indices(n)
-        scale = np.where(iu[0] == iu[1], 1.0, 2.0)
-
-        def pack(mat: np.ndarray) -> np.ndarray:
-            return mat[iu]
-
-        def unpack(vec: np.ndarray) -> np.ndarray:
-            mat = np.zeros((n, n))
-            mat[iu] = vec
-            mat = mat + mat.T - np.diag(np.diag(mat))
-            return mat
-
-    else:
-
-        def pack(vec: np.ndarray) -> np.ndarray:
-            return vec
-
-        def unpack(vec: np.ndarray) -> np.ndarray:
-            return vec
-
-    obj = _prox_objective(f, gamma, xa)
-
-    def obj_packed(z: np.ndarray) -> float:
-        return obj(unpack(z))
+    def obj(wpt: np.ndarray) -> float:
+        return float(f(wpt)) + float(np.vdot(wpt - xa, wpt - xa)) / (2.0 * gamma)
 
     rng = np.random.default_rng(seed)
-    starts = [pack(xa)]
+    starts = [xa]
     for _ in range(restarts):
-        pert = rng.standard_normal(xa.shape)
-        if sym:
-            pert = (pert + pert.T) / 2.0
-        starts.append(pack(xa + 0.5 * gamma * pert))
+        starts.append(xa + 0.5 * gamma * rng.standard_normal(xa.shape))
     best_z = None
     best_v = math.inf
     for z0 in starts:
         res = minimize(
-            obj_packed,
+            obj,
             z0,
             method="Powell",
             options={"xtol": 1e-10, "ftol": 1e-12, "maxiter": 2000},
@@ -519,4 +436,4 @@ def numeric_prox(
             best_z = np.asarray(res.x)
     if best_z is None:
         raise OracleError("numeric_prox: every search ended at a non-finite objective")
-    return NumericProxResult(unpack(best_z), best_v, False)
+    return NumericProxResult(best_z, best_v)

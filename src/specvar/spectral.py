@@ -30,6 +30,11 @@ The second subderivative is reported as +infinity off the critical cone
 even when the penalty-level term happens to be finite there; rotating a
 repeated eigenspace against the weights makes the true quotients blow up,
 and the finite-implies-critical invariant is kept unconditional.
+
+The functions of a point X take it either as a matrix, clustered by ``eig``
+at its default width, or as an EigenSystem; prox_directional_derivative,
+which perturbs X, takes a matrix.  The clustering width is chosen only in
+``eig``: a caller who wants another one passes ``eig(x, cluster_tol=...)``.
 """
 from __future__ import annotations
 
@@ -43,7 +48,6 @@ from .oracle import QuotientProbe, numeric_second_subderivative
 from .perturb import _rotate, _Rotated, eig_dir_derivative
 from .symmat import (
     FAN_TOL,
-    BlockPermutation,
     EigenSystem,
     SymMatrix,
     as_sym_array,
@@ -58,10 +62,8 @@ PROX_DIR_TOL = 1e-4
 SEMIDERIV_CHECK_RTOL = 1e-8  # semiderivative vs general d2 at the gradient, in the tests
 
 
-def _as_eigensystem(x, cluster_tol: float | None = None) -> EigenSystem:
-    if isinstance(x, EigenSystem):
-        return x
-    return eig(x, cluster_tol=cluster_tol)
+def _as_eigensystem(x) -> EigenSystem:
+    return x if isinstance(x, EigenSystem) else eig(x)
 
 
 def lifted(theta: SymmetricFunction):
@@ -85,8 +87,8 @@ def lifted(theta: SymmetricFunction):
     return f
 
 
-def spectral_value(theta: SymmetricFunction, x, cluster_tol: float | None = None) -> float:
-    es = _as_eigensystem(x, cluster_tol)
+def spectral_value(theta: SymmetricFunction, x) -> float:
+    es = _as_eigensystem(x)
     return theta.value(es.lam)
 
 
@@ -95,13 +97,13 @@ class SubgradientTriple:
     """A subgradient of the lift in both coordinates.
 
     y: weight per eigenvector column, in eigenvalue order;
-    v: blockwise nonincreasing rearrangement of y (v = q.apply(y));
+    v: blockwise nonincreasing rearrangement of y
+       (y[symmat.block_sort_order(y, bounds)]);
     matrix: the embedded subgradient U Diag(y) U^T.
     """
 
     y: np.ndarray
     v: np.ndarray
-    q: BlockPermutation
     matrix: SymMatrix
 
 
@@ -109,7 +111,6 @@ def spectral_subgradient(
     theta: SymmetricFunction,
     x,
     y=None,
-    cluster_tol: float | None = None,
 ) -> SubgradientTriple:
     """Validate (or choose) a subgradient weight vector and embed it.
 
@@ -118,24 +119,22 @@ def spectral_subgradient(
     Membership is checked on the blockwise sorted rearrangement; a failure
     raises InvalidSubgradientError.
     """
-    es = _as_eigensystem(x, cluster_tol)
+    es = _as_eigensystem(x)
     if y is None:
         y = theta.subgradients(es.lam).canonical_vertex()
     y = np.asarray(y, dtype=float)
     if y.shape != (es.n,):
         raise ValueError(f"subgradient vector must have length {es.n}, got {y.shape}")
-    v, q = block_sort_permutation(y, es)
+    v = block_sort_permutation(y, es)
     theta.check_subgradient(es.lam, v)
     mat = SymMatrix(es.u @ np.diag(y) @ es.u.T)
-    return SubgradientTriple(y=y, v=v, q=q, matrix=mat)
+    return SubgradientTriple(y=y, v=v, matrix=mat)
 
 
-def spectral_subderivative(
-    theta: SymmetricFunction, x, h, cluster_tol: float | None = None
-) -> float:
+def spectral_subderivative(theta: SymmetricFunction, x, h) -> float:
     """Directional derivative of the lift: the penalty subderivative along
     the eigenvalue directional derivative."""
-    es = _as_eigensystem(x, cluster_tol)
+    es = _as_eigensystem(x)
     return theta.subderivative(es.lam, eig_dir_derivative(es, h))
 
 
@@ -158,7 +157,7 @@ def _in_critical_cone(theta: SymmetricFunction, triple: SubgradientTriple, rot: 
     return bool(np.all(rot.fan_gaps(triple.y) <= FAN_TOL))
 
 
-def curvature_correction(x, y, h, cluster_tol: float | None = None) -> float:
+def curvature_correction(x, y, h) -> float:
     """Cluster curvature term of the second subderivative:
 
         2 sum_m < Diag(y)_mm , U_m^T H (mu_m I - X)^+ H U_m >
@@ -166,19 +165,19 @@ def curvature_correction(x, y, h, cluster_tol: float | None = None) -> float:
 
     Uses the raw weight vector y; only directions that rotate eigenspaces
     across clusters contribute."""
-    es = _as_eigensystem(x, cluster_tol)
+    es = _as_eigensystem(x)
     y = np.asarray(y, dtype=float)
     if y.shape != (es.n,):
         raise ValueError(f"weight vector must have length {es.n}, got {y.shape}")
     return 2.0 * float(y @ _rotate(es, h).coupling())
 
 
-def fan_block_gaps(x, y, h, cluster_tol: float | None = None) -> np.ndarray:
+def fan_block_gaps(x, y, h) -> np.ndarray:
     """Per-cluster Fan inequality gaps between Diag(y)_mm and U_m^T H U_m.
 
     Each gap is nonnegative; simultaneous vanishing is the matrix half of
     the critical cone condition."""
-    es = _as_eigensystem(x, cluster_tol)
+    es = _as_eigensystem(x)
     y = np.asarray(y, dtype=float)
     if y.shape != (es.n,):
         raise ValueError(f"weight vector must have length {es.n}, got {y.shape}")
@@ -190,7 +189,6 @@ def critical_cone_member(
     x,
     triple: SubgradientTriple,
     h,
-    cluster_tol: float | None = None,
 ) -> bool:
     """Structural critical cone test for direction h at (X, Y).
 
@@ -199,7 +197,7 @@ def critical_cone_member(
     Fan equality (gap at most 1e-8) between Diag(y)_mm and the compression
     of h.  The conjunction is equivalent to dg(X)(H) = <Y, H> because both
     residuals are nonnegative."""
-    es = _as_eigensystem(x, cluster_tol)
+    es = _as_eigensystem(x)
     theta.check_subgradient(es.lam, triple.v)
     return _in_critical_cone(theta, triple, _rotate(es, h))
 
@@ -264,7 +262,6 @@ def spectral_second_subderivative(
     x,
     triple: SubgradientTriple,
     h,
-    cluster_tol: float | None = None,
     probe: QuotientProbe | None = None,
 ) -> SecondOrderReport:
     """Second subderivative of the lift at (X, Y) in direction h, bundled
@@ -275,7 +272,7 @@ def spectral_second_subderivative(
     With a probe, the quotient oracle runs against the same data and its
     estimate is attached; the oracle never feeds back into the closed-form
     numbers."""
-    es = _as_eigensystem(x, cluster_tol)
+    es = _as_eigensystem(x)
     hm = as_sym_array(h)
     rot = _rotate(es, hm)
     dd = rot.dd
@@ -317,9 +314,7 @@ def spectral_second_subderivative(
     )
 
 
-def leading_eig_second_subderivative(
-    x, i: int, triple: SubgradientTriple, h, cluster_tol: float | None = None
-) -> ExtReal:
+def leading_eig_second_subderivative(x, i: int, triple: SubgradientTriple, h) -> ExtReal:
     """Second subderivative of the single ordered eigenvalue leading the
     i-th cluster (i is 1-based), via the direct matrix formula
 
@@ -329,7 +324,7 @@ def leading_eig_second_subderivative(
     The triple must be a valid order-statistic subgradient supported on the
     i-th cluster; the result agrees with the general machinery run on the
     matching order statistic."""
-    es = _as_eigensystem(x, cluster_tol)
+    es = _as_eigensystem(x)
     if not 1 <= i <= es.r:
         raise UnsupportedPointError(
             f"cluster index {i} out of range: the spectrum has {es.r} clusters"
@@ -347,9 +342,7 @@ def leading_eig_second_subderivative(
     return ExtReal(2.0 * float(triple.y @ (rot.ht**2 @ rot.inv_gap[es.blocks[m].start])))
 
 
-def second_semiderivative(
-    theta: SymmetricFunction, x, h, cluster_tol: float | None = None
-) -> float:
+def second_semiderivative(theta: SymmetricFunction, x, h) -> float:
     """Second-order directional expansion coefficient on the smooth branch:
     for theta twice differentiable along the spectrum,
 
@@ -358,7 +351,7 @@ def second_semiderivative(
     with d2 = sum_j hess_j (lambda'_j)^2 plus the cluster curvature
     correction at y = grad theta(spectrum).  Raises UnsupportedPointError
     where the penalty is not twice differentiable along the spectrum."""
-    es = _as_eigensystem(x, cluster_tol)
+    es = _as_eigensystem(x)
     grad = theta.gradient(es.lam)
     hess = theta.hessian_diagonal(es.lam)
     rot = _rotate(es, h)
@@ -372,9 +365,7 @@ class SpectralProxResult:
     closed_form: bool
 
 
-def spectral_prox(
-    theta: SymmetricFunction, gamma: float, x, cluster_tol: float | None = None
-) -> SpectralProxResult:
+def spectral_prox(theta: SymmetricFunction, gamma: float, x) -> SpectralProxResult:
     """Proximal point of the lift: the penalty prox applied along the
     spectrum, rebuilt in the same eigenbasis.
 
@@ -382,7 +373,7 @@ def spectral_prox(
     symmetric penalty a sorted minimizer always exists at a sorted input,
     so this never increases the proximal objective (it guards against
     unsorted output from the brute-force fallback)."""
-    es = _as_eigensystem(x, cluster_tol)
+    es = _as_eigensystem(x)
     pr = theta.prox(gamma, es.lam)
     p = np.sort(np.asarray(pr.point, dtype=float))[::-1]
     mat = SymMatrix(es.u @ np.diag(p) @ es.u.T)
@@ -406,7 +397,6 @@ def prox_directional_derivative(
     x,
     d,
     t_grid: tuple[float, ...] = (1e-3, 1e-4, 1e-5),
-    cluster_tol: float | None = None,
 ) -> ProxDirectional:
     """Forward-difference quotients of the prox map in direction d, with
     Richardson extrapolation assuming first-order error decay.
@@ -425,10 +415,10 @@ def prox_directional_derivative(
         raise ValueError("t_grid must be decreasing")
     xa = as_sym_array(x)
     da = as_sym_array(d)
-    base = spectral_prox(theta, gamma, xa, cluster_tol).matrix.entries
+    base = spectral_prox(theta, gamma, xa).matrix.entries
     quotients = []
     for t in ts:
-        pt = spectral_prox(theta, gamma, xa + t * da, cluster_tol).matrix.entries
+        pt = spectral_prox(theta, gamma, xa + t * da).matrix.entries
         quotients.append((pt - base) / t)
     extrapolants = [
         (rho * quotients[k + 1] - quotients[k]) / (rho - 1.0)

@@ -205,7 +205,11 @@ class ProxResult:
 
 
 class SymmetricFunction:
-    """Interface shared by the shipped symmetric penalties."""
+    """Interface shared by the shipped symmetric penalties.
+
+    A subclass with ``polyhedral = True`` inherits the polyhedral second
+    subderivative (0 on the critical cone, +inf off it), the zero Hessian
+    diagonal and the brute-force prox; any other subclass supplies its own."""
 
     polyhedral: bool = False
     name: str = ""
@@ -224,16 +228,29 @@ class SymmetricFunction:
         raise NotImplementedError
 
     def second_subderivative(self, x, y, w) -> ExtReal:
-        raise NotImplementedError
+        """For polyhedral penalties: 0 on the critical cone, +inf off it."""
+        if not self.polyhedral:
+            raise NotImplementedError
+        if self.critical_cone_member(x, y, w):
+            return ExtReal(0.0)
+        return POS_INF
 
     def prox(self, gamma: float, x) -> ProxResult:
-        raise NotImplementedError
+        """For polyhedral penalties: the brute-force ``numeric_prox``."""
+        if not self.polyhedral:
+            raise NotImplementedError
+        res = numeric_prox(self.value, gamma, _vec(x))
+        return ProxResult(point=res.point, closed_form=False)
 
     def gradient(self, x) -> np.ndarray:
         raise UnsupportedPointError(f"{self.name} is not differentiable here")
 
     def hessian_diagonal(self, x) -> np.ndarray:
-        raise UnsupportedPointError(f"{self.name} has no second derivative here")
+        """For polyhedral penalties: zero wherever the gradient exists."""
+        if not self.polyhedral:
+            raise UnsupportedPointError(f"{self.name} has no second derivative here")
+        self.gradient(x)
+        return np.zeros(_vec(x).size)
 
     def check_subgradient(self, x, y, tol: float = SUBGRADIENT_TOL) -> None:
         if not self.subgradients(x).contains(y, tol):
@@ -331,11 +348,6 @@ class OrderStat(SymmetricFunction):
         x, w = _vecs(x, w)
         return float(np.max(w[self._active(x)]))
 
-    def second_subderivative(self, x, y, w) -> ExtReal:
-        if self.critical_cone_member(x, y, w):
-            return ExtReal(0.0)
-        return POS_INF
-
     def gradient(self, x) -> np.ndarray:
         x = _vec(x)
         idx = self._active(x)
@@ -346,14 +358,6 @@ class OrderStat(SymmetricFunction):
         g = np.zeros(x.size)
         g[idx[0]] = 1.0
         return g
-
-    def hessian_diagonal(self, x) -> np.ndarray:
-        self.gradient(x)
-        return np.zeros(_vec(x).size)
-
-    def prox(self, gamma: float, x) -> ProxResult:
-        res = numeric_prox(self.value, gamma, _vec(x))
-        return ProxResult(point=res.point, closed_form=False)
 
 
 @dataclass(frozen=True)
@@ -434,11 +438,6 @@ class EigGapMax(SymmetricFunction):
         idx = self._active(x)
         return float(np.max(w[idx] - w[idx + 1]))
 
-    def second_subderivative(self, x, y, w) -> ExtReal:
-        if self.critical_cone_member(x, y, w):
-            return ExtReal(0.0)
-        return POS_INF
-
     def gradient(self, x) -> np.ndarray:
         x = _vec(x)
         idx = self._active(x)
@@ -447,14 +446,6 @@ class EigGapMax(SymmetricFunction):
                 "gap penalty is not differentiable: several gaps are tied for largest"
             )
         return self._vertex(int(idx[0]), x.size)
-
-    def hessian_diagonal(self, x) -> np.ndarray:
-        self.gradient(x)
-        return np.zeros(_vec(x).size)
-
-    def prox(self, gamma: float, x) -> ProxResult:
-        res = numeric_prox(self.value, gamma, _vec(x))
-        return ProxResult(point=res.point, closed_form=False)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 This module provides the shared ground floor for everything else: ordered
 eigendecompositions with clustering of numerically repeated eigenvalues,
-blockwise sorting permutations, the trace/eigenvalue gap behind Fan's
+stable blockwise sorts within clusters, the trace/eigenvalue gap behind Fan's
 inequality, and dense shifted pseudoinverses (the tests' reference).
 
 All container types are immutable after construction and every operation is
@@ -13,7 +13,9 @@ Conventions
 -----------
 Eigenvalues are kept in nonincreasing order.  Cluster ("block") m covers the
 contiguous index range ``blocks[m]`` and has representative value ``mu[m]``;
-indices into eigenvalues and blocks are 0-based throughout.
+indices into eigenvalues and blocks are 0-based throughout.  The
+clustering width is chosen in ``eig`` and nowhere else; the EigenSystem
+records it as ``cluster_tol``.
 """
 from __future__ import annotations
 
@@ -186,36 +188,14 @@ def pinv_shift(es: EigenSystem, m: int) -> SymMatrix:
     return SymMatrix(out)
 
 
-@dataclass(frozen=True)
-class BlockPermutation:
-    """Permutation acting within eigenvalue clusters only.
-
-    ``apply(y)[k] = y[perm[k]]`` and ``apply_transpose`` inverts it; each
-    cluster's index range maps to itself, so the eigenvalues are fixed.
-    """
-
-    perm: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "perm", np.array(self.perm, dtype=np.intp))
-        self.perm.flags.writeable = False
-
-    def apply(self, y) -> np.ndarray:
-        return np.asarray(y, dtype=float)[self.perm]
-
-    def apply_transpose(self, y) -> np.ndarray:
-        return np.asarray(y, dtype=float)[np.argsort(self.perm)]
-
-
-def block_sort_permutation(y, es: EigenSystem) -> tuple[np.ndarray, BlockPermutation]:
+def block_sort_permutation(y, es: EigenSystem) -> np.ndarray:
     """Stable blockwise nonincreasing sort of ``y`` along the clusters of
-    ``es``.  Returns the sorted vector v and the permutation Q with v = Q y.
-    Ties keep their original relative order."""
+    ``es``: the sorted vector v = y[block_sort_order(y, bounds)].  Ties
+    keep their original relative order."""
     y = np.asarray(y, dtype=float)
     if y.shape != (es.n,):
         raise ValueError(f"expected a vector of length {es.n}, got shape {y.shape}")
-    q = BlockPermutation(block_sort_order(y, [b.start for b in es.blocks] + [es.n]))
-    return q.apply(y), q
+    return y[block_sort_order(y, [b.start for b in es.blocks] + [es.n])]
 
 
 def block_sort_order(y: np.ndarray, bounds) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Command-line front end: report documents, exit codes, input loading,
 determinism hashing, and the quotient trace."""
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -477,21 +478,49 @@ def test_closed_form_commands_leave_scipy_optimize_unimported(tmp_path):
         ('{"name":"smooth_sep","coeff":1.0}', "inf"),
         ('{"name":"eig_gap"}', "-inf"),
         ('{"name":"mcp","a":2.0,"c":1.0}', "nan"),
+        ('{"name":"eig_gap"}', "-nan"),
+        ('{"name":"order_stat","i":1}', "-1e-3"),
     ],
 )
 def test_non_finite_gamma_exits_two(theta, gamma, tmp_path):
-    # rejected before any search starts: no optimizer warnings, no zero matrix
+    # rejected before any search starts: no optimizer warnings, no zero
+    # matrix; a separate value such as -inf reaches the same check
     x = write_json_matrix(tmp_path / "x.json", FLAGSHIP)
+    for form in ([f"--gamma={gamma}"], ["--gamma", gamma]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "specvar.cli", "--command", "PROX",
+             "--matrix", x, "--theta", theta, *form],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2, (form, proc.stderr)
+        assert "gamma" in proc.stderr
+        assert re.search("finite|positive|0 < gamma < a", proc.stderr), (form, proc.stderr)
+        assert "Warning" not in proc.stderr
+        assert proc.stdout == ""
+
+
+def test_polyhedral_prox_without_scipy_exits_two(tmp_path):
+    # the numeric prox is the one route into scipy: without it PROX names
+    # the missing package instead of ending in a traceback
+    x = write_json_matrix(tmp_path / "x.json", FLAGSHIP)
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from specvar.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-m", "specvar.cli", "--command", "PROX",
-         "--matrix", x, "--theta", theta, f"--gamma={gamma}"],
+        [sys.executable, "-c", code, "--command", "PROX", "--matrix", x,
+         "--theta", '{"name":"order_stat","i":1}', "--gamma", "0.5"],
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 2, proc.stderr
-    assert "gamma" in proc.stderr
-    assert "Warning" not in proc.stderr
+    assert "scipy" in proc.stderr
+    assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
 
 

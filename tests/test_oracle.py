@@ -7,6 +7,7 @@ import pytest
 
 from specvar import (
     POS_INF,
+    EigGapMax,
     McpSum,
     OrderStat,
     OracleError,
@@ -340,13 +341,42 @@ class TestAttainment:
 
 
 class TestNumericProx:
-    def test_scalar_grid_matches_closed_form(self):
+    def test_matches_mcp_closed_form(self):
+        # one coordinate on each branch of the MCP prox, then all of them
         mcp = McpSum(a=2.0, c=1.0)
-        for x0, gamma in ((0.4, 0.5), (0.8, 0.5), (3.0, 0.5), (-1.2, 0.9)):
-            res = numeric_prox(mcp.phi, gamma, x0, step=1e-4)
-            want = float(mcp.prox(gamma, [x0]).point[0])
-            assert float(res.point) == pytest.approx(want, abs=2e-5)
-            assert not res.widened
+        cases = [([0.4], 0.5), ([0.8], 0.5), ([3.0], 0.5), ([-1.2], 0.9)]
+        for x, gamma in cases + [([2.5, -0.3, 1.1, -1.7], 0.9)]:
+            res = numeric_prox(mcp.value, gamma, np.array(x))
+            want = mcp.prox(gamma, x).point
+            np.testing.assert_allclose(res.point, want, rtol=0.0, atol=2e-5)
+
+    def test_polyhedral_prox_is_frozen(self):
+        """The prox of both polyhedral penalties at one 4-vector, pinned to
+        the last bit.  The literals were recorded with scipy 1.17, numpy 2.4
+        and OpenBLAS 0.3; another scipy or LAPACK may move the last digits."""
+        x = np.array([1.3, 0.7, 0.4, -0.6])
+        frozen = [
+            (
+                OrderStat(rank=2),
+                [1.300000001209956, 0.2999999974531303, 0.2999999974531303, -0.5999999997907806],
+                0.47,
+            ),
+            (
+                EigGapMax(),
+                [1.1847125138476253, 0.7000000057212791, 0.2152874975949858, -0.2694250105283926],
+                0.641402244798556,
+            ),
+        ]
+        for theta, point, objective in frozen:
+            res = numeric_prox(theta.value, 0.5, x)
+            assert res.point.tolist() == point
+            assert res.objective == objective
+            assert theta.prox(0.5, x).point.tolist() == point
+
+    @pytest.mark.parametrize("x", [1.0, np.zeros((2, 2))], ids=["0-d", "2-d"])
+    def test_rejects_non_vectors(self, x):
+        with pytest.raises(ValueError, match="vectors only"):
+            numeric_prox(lambda z: 0.0, 0.5, x)
 
     def test_vector_descent_matches_closed_form(self):
         f = SmoothSep(coeff=2.0)
