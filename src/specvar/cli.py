@@ -364,7 +364,7 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
             "closed_form": res.closed_form,
         }
         if direction is not None:
-            dres = prox_directional_derivative(theta, float(args.gamma), es.matrix, direction)
+            dres = prox_directional_derivative(theta, float(args.gamma), es, direction)
             doc["outputs"]["directional_derivative"] = dres.derivative.ravel().tolist()
             doc["outputs"]["directional_converged"] = dres.converged
     else:  # pragma: no cover - argparse restricts choices

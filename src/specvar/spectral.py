@@ -27,14 +27,14 @@ correction uses the raw y.  Mixing these up breaks instances with repeated
 eigenvalues, so the triple keeps both vectors side by side.
 
 The second subderivative is reported as +infinity off the critical cone
-even when the penalty-level term happens to be finite there; rotating a
-repeated eigenspace against the weights makes the true quotients blow up,
-and the finite-implies-critical invariant is kept unconditional.
+even when only a Fan gap fails and the penalty-level term is finite;
+rotating a repeated eigenspace against the weights makes the true
+quotients blow up, and the finite-implies-critical invariant is kept.
 
 The functions of a point X take it either as a matrix, clustered by ``eig``
-at its default width, or as an EigenSystem; prox_directional_derivative,
-which perturbs X, takes a matrix.  The clustering width is chosen only in
-``eig``: a caller who wants another one passes ``eig(x, cluster_tol=...)``.
+at its default width, or as an EigenSystem; prox_directional_derivative
+clusters its perturbed points at the default width.  The clustering width
+is chosen only in ``eig``: a caller who wants another one passes it there.
 """
 from __future__ import annotations
 
@@ -206,15 +206,15 @@ def critical_cone_member(
 class SecondOrderReport:
     """Everything the second-order analysis at (X, Y, H) produced.
 
-    ``curvature_correction`` and ``theta_d2`` are reported even when the
-    direction is not critical (the former is an unconditional quadratic in
-    H); ``d2`` is +infinity off the critical cone regardless, so that a
-    finite d2 always certifies criticality.  Callers may keep many reports,
-    so a report holds only what it cannot derive: ``direction`` is the
-    caller's array (not a copy), ``penalty`` the caller's penalty, and the
-    clusters are one bounds array, cluster m covering
-    block_bounds[m:m + 2].  ``theta``, ``cluster_values`` and ``v`` are
-    computed on access by the functions that produced them
+    ``curvature_correction`` is an unconditional quadratic in H, reported
+    even off the critical cone; ``theta_d2`` is +infinity off the penalty
+    critical cone for every family, and ``d2`` off the whole critical cone,
+    so that a finite d2 always certifies criticality.  Callers may keep
+    many reports, so a report holds only what it cannot derive:
+    ``direction`` is the caller's array (not a copy), ``penalty`` the
+    caller's penalty, and the clusters are one bounds array, cluster m
+    covering block_bounds[m:m + 2].  ``theta``, ``cluster_values`` and
+    ``v`` are computed on access by the functions that produced them
     (``spec_to_json``, ``symmat.cluster_means``, ``symmat.block_sort_order``)."""
 
     penalty: SymmetricFunction
@@ -280,7 +280,7 @@ def spectral_second_subderivative(
     pairing = float(triple.y @ np.diag(rot.ht))
     gaps = rot.fan_gaps(triple.y)
     theta_d2 = theta.second_subderivative(es.lam, triple.v, dd)  # checks v
-    in_cone = theta._in_cone(es.lam, triple.v, dd) and bool(np.all(gaps <= FAN_TOL))
+    in_cone = theta_d2.is_finite and bool(np.all(gaps <= FAN_TOL))
     corr = 2.0 * float(triple.y @ rot.coupling())
     d2 = theta_d2 + corr if in_cone else POS_INF
     oracle_d2 = None
@@ -413,12 +413,12 @@ def prox_directional_derivative(
     rho = ts[0] / ts[1]
     if rho <= 1.0:
         raise ValueError("t_grid must be decreasing")
-    xa = as_sym_array(x)
+    es = _as_eigensystem(x)
     da = as_sym_array(d)
-    base = spectral_prox(theta, gamma, xa).matrix.entries
+    base = spectral_prox(theta, gamma, es).matrix.entries
     quotients = []
     for t in ts:
-        pt = spectral_prox(theta, gamma, xa + t * da).matrix.entries
+        pt = spectral_prox(theta, gamma, es.matrix.entries + t * da).matrix.entries
         quotients.append((pt - base) / t)
     extrapolants = [
         (rho * quotients[k + 1] - quotients[k]) / (rho - 1.0)

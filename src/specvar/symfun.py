@@ -9,18 +9,22 @@ Four families are shipped:
 * ``SmoothSep(coeff)`` -- a uniform separable quadratic, the smooth
   reference case.
 
-Each family knows its value, a generator description of its subdifferential
-(vertex hull, interval box, or a single point), its subderivative, its
-second subderivative relative to a subgradient, its critical cone, its
-proximal mapping (closed form where available, brute-force fallback
-otherwise), and -- for the polyhedral families -- a certificate of whether
-the second subderivative is a generalized quadratic on a subspace.
+A family states its value and its subdifferential: a point, an interval
+box, or a hull stored as its active set.  The subderivative is then the
+support function of the subdifferential (every shipped penalty is regular;
+Rockafellar-Wets, Thm 8.30), and the second subderivative relative to y is
+the family's ``_curvature`` (0 if polyhedral) on the critical cone
+{w : dtheta(x)(w) = <y, w>} and +inf off it, judged by ``_in_cone`` alone.
+Each family also has a proximal mapping (closed form where available,
+brute-force fallback otherwise) and, for the polyhedral families, a
+certificate of whether the second subderivative is a generalized quadratic
+on a subspace.
 
 The two polyhedral subdifferentials are simplices with linearly
 independent vertices, e_i for ``OrderStat`` and e_i - e_(i+1) for
-``EigGapMax``, so hull membership and the relative-interior certificate
-have closed forms: the coefficients of y are y_S or cumsum(y)_S.  No LP
-and no scipy call is involved.
+``EigGapMax``, over the active indices i, so hull membership and the
+relative-interior certificate have closed forms: the coefficients of y are
+y_S or cumsum(y)_S.  No LP and no scipy call is involved.
 
 Subgradient membership is tested to an absolute tolerance of 1e-9 in the
 sup norm; active sets and tie detection use a relative tolerance of 1e-8,
@@ -29,6 +33,7 @@ unequal lengths raise ValueError.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,24 +93,6 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
-def _hull_support(v: np.ndarray) -> tuple[bool, np.ndarray]:
-    """Read hull vertices as unit vectors e_i or gap vertices e_i - e_(i+1):
-    whether they are gap vertices, and the index i of each row.  Either
-    family is linearly independent, so every point of the hull has unique
-    coefficients.  Any other vertex set raises ValueError."""
-    n = v.shape[1]
-    i = np.argmax(v, axis=1)
-    eye = np.eye(n)
-    if np.array_equal(v, eye[i]):
-        return False, i
-    if np.all(i < n - 1) and np.array_equal(v, eye[i] - eye[i + 1]):
-        return True, i
-    raise ValueError(
-        "hull membership has a closed form only for unit vectors e_i and gap "
-        "vertices e_i - e_(i+1), the subdifferentials of the shipped penalties"
-    )
-
-
 def _gap_hull_meets(y: np.ndarray, s: np.ndarray, tol: float) -> bool:
     """Whether conv{e_i - e_(i+1) : i in s} comes within sup-norm tol of y.
 
@@ -144,14 +131,31 @@ class SubgradientSet:
 
     kind = "point": the singleton {point};
     kind = "box":   the interval product [lower, upper];
-    kind = "hull":  the convex hull of the rows of ``vertices``.
+    kind = "hull":  conv{e_i : i in active} in R^n, or, with ``gaps``,
+                    conv{e_i - e_(i+1) : i in active}; ``vertices`` lists
+                    these rows.
+
+    ``support(w)``, the largest <s, w> over the set, is the subderivative of
+    a regular penalty with this subdifferential.
     """
 
     kind: str
-    vertices: np.ndarray | None = None
+    active: np.ndarray | None = None
+    gaps: bool = False
+    n: int = 0
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
     point: np.ndarray | None = None
+
+    @property
+    def vertices(self) -> np.ndarray:
+        """The hull's vertices as rows, one per active index, in its order."""
+        rows = np.arange(self.active.size)
+        v = np.zeros((self.active.size, self.n))
+        v[rows, self.active] = 1.0
+        if self.gaps:
+            v[rows, self.active + 1] = -1.0
+        return v
 
     def contains(self, y, tol: float = SUBGRADIENT_TOL) -> bool:
         """Whether y lies within sup-norm distance tol of the set."""
@@ -163,29 +167,40 @@ class SubgradientSet:
             return bool(
                 np.all(y >= self.lower - tol) and np.all(y <= self.upper + tol)
             )
-        v = np.asarray(self.vertices)
-        y, _ = _vecs(y, v[0])
-        if len(v) == 1:  # a single point
-            return bool(np.max(np.abs(y - v[0])) <= tol)
-        gaps, s = _hull_support(v)
-        if gaps:
-            return _gap_hull_meets(y, s, tol)
+        y, v0 = _vecs(y, self.vertices[0])
+        if self.active.size == 1:  # a single point
+            return bool(np.max(np.abs(y - v0)) <= tol)
+        if self.gaps:
+            return _gap_hull_meets(y, self.active, tol)
         # conv{e_i : i in S}: y is tol-close to 0 off S and to some
         # simplex point on S, i.e. the tol-box around y_S meets it
-        on = v.any(axis=0)
+        on = np.zeros(self.n, dtype=bool)
+        on[self.active] = True
         lo, hi = np.maximum(y[on] - tol, 0.0), y[on] + tol
         off = np.max(np.abs(y[~on]), initial=0.0)
         return bool(off <= tol and hi.min() >= 0.0 and lo.sum() <= 1.0 <= hi.sum())
 
+    def support(self, w) -> float:
+        """max <s, w> over the set, for w of the set's length."""
+        w = _vec(w)
+        if self.kind == "point":
+            return float(self.point @ w)
+        if self.kind == "box":
+            # the upper end where w is +0 or above, the lower end where it
+            # is -0 or below: on [-c, c] the term is c|w| to the bit
+            return float(np.sum(np.where(np.signbit(w), self.lower, self.upper) * w))
+        s = self.active
+        return float(np.max(w[s] - w[s + 1] if self.gaps else w[s]))
+
     def canonical_vertex(self) -> np.ndarray:
         """Deterministic representative: the lexicographically smallest
-        vertex (box: lower corner; point: the point)."""
+        vertex, which for a hull is the one at the largest active index
+        (box: lower corner; point: the point)."""
         if self.kind == "point":
             return np.array(self.point)
         if self.kind == "box":
             return np.array(self.lower)
-        rows = sorted(map(tuple, np.asarray(self.vertices)))
-        return np.array(rows[0], dtype=float)
+        return self.vertices[np.argmax(self.active)]
 
 
 @dataclass(frozen=True)
@@ -205,11 +220,12 @@ class ProxResult:
 
 
 class SymmetricFunction:
-    """Interface shared by the shipped symmetric penalties.
-
-    A subclass with ``polyhedral = True`` inherits the polyhedral second
-    subderivative (0 on the critical cone, +inf off it), the zero Hessian
-    diagonal and the brute-force prox; any other subclass supplies its own."""
+    """Interface shared by the shipped symmetric penalties: a subclass
+    states ``value``, ``subgradients`` and, unless it is polyhedral,
+    ``_curvature``, and the calculus follows here (see the module docstring).
+    A subclass with ``polyhedral = True`` (a hull subdifferential) also
+    inherits the gradient, the zero Hessian diagonal and the brute-force
+    prox; any other subclass supplies its own."""
 
     polyhedral: bool = False
     name: str = ""
@@ -225,15 +241,27 @@ class SymmetricFunction:
         raise NotImplementedError
 
     def subderivative(self, x, w) -> float:
-        raise NotImplementedError
+        """dtheta(x)(w): the support function of the subdifferential at x,
+        evaluated at w (Rockafellar-Wets, Thm 8.30, for a regular theta)."""
+        x, w = _vecs(x, w)
+        return self.subgradients(x).support(w)
 
-    def second_subderivative(self, x, y, w) -> ExtReal:
-        """For polyhedral penalties: 0 on the critical cone, +inf off it."""
+    def _curvature(self, x, w) -> float:
+        """The second subderivative in a critical direction w, which for the
+        shipped penalties does not depend on y: 0 if polyhedral."""
         if not self.polyhedral:
             raise NotImplementedError
-        if self.critical_cone_member(x, y, w):
-            return ExtReal(0.0)
-        return POS_INF
+        return 0.0
+
+    def second_subderivative(self, x, y, w) -> ExtReal:
+        """d2theta(x|y)(w): ``_curvature`` on the critical cone, +inf off it.
+        y must be a subgradient at x (InvalidSubgradientError otherwise)."""
+        x, y, w = _vecs(x, y, w)
+        self.check_subgradient(x, y)
+        curv = self._curvature(x, w)
+        if not self._in_cone(x, y, w):
+            return POS_INF
+        return ExtReal(curv)
 
     def prox(self, gamma: float, x) -> ProxResult:
         """For polyhedral penalties: the brute-force ``numeric_prox``."""
@@ -243,6 +271,11 @@ class SymmetricFunction:
         return ProxResult(point=res.point, closed_form=False)
 
     def gradient(self, x) -> np.ndarray:
+        """For polyhedral penalties: the vertex of a one-vertex hull."""
+        if self.polyhedral:
+            s = self.subgradients(x)
+            if s.active.size == 1:
+                return s.vertices[0]
         raise UnsupportedPointError(f"{self.name} is not differentiable here")
 
     def hessian_diagonal(self, x) -> np.ndarray:
@@ -267,7 +300,8 @@ class SymmetricFunction:
         return self._in_cone(x, y, w)
 
     def _in_cone(self, x, y, w) -> bool:
-        """critical_cone_member on vectors, for a y already checked."""
+        """critical_cone_member on vectors, for a y already checked: the
+        one penalty cone test."""
         resid = abs(self.subderivative(x, w) - float(y @ w))
         return bool(resid <= CONE_RTOL * (1.0 + float(np.linalg.norm(w))))
 
@@ -287,13 +321,13 @@ class SymmetricFunction:
             )
         x, y = _vecs(x, y)
         self.check_subgradient(x, y)
-        verts = np.asarray(self.subgradients(x).vertices)
-        if len(verts) == 1:
+        s = self.subgradients(x)
+        if s.active.size == 1:
             return GqfCertificate(True, np.eye(x.size))
-        gaps, s = _hull_support(verts)
-        coeffs = (np.cumsum(y) if gaps else y)[s]
+        coeffs = (np.cumsum(y) if s.gaps else y)[s.active]
         if coeffs.min() < RI_SLACK + SUBGRADIENT_TOL:
             return GqfCertificate(False, None)
+        verts = s.vertices
         return GqfCertificate(True, _null_space(verts[1:] - verts[0]))
 
 
@@ -316,11 +350,6 @@ class OrderStat(SymmetricFunction):
             raise ValueError("rank must be a positive integer")
         object.__setattr__(self, "rank", int(self.rank))
 
-    def _sorted(self, x: np.ndarray) -> np.ndarray:
-        if self.rank > x.size:
-            raise ValueError(f"rank {self.rank} exceeds dimension {x.size}")
-        return np.sort(x)[::-1]
-
     def value(self, x):
         x = _rows(x)
         n = x.shape[-1]
@@ -329,7 +358,9 @@ class OrderStat(SymmetricFunction):
         return _per_row(np.sort(x)[..., n - self.rank])
 
     def _active(self, x: np.ndarray) -> np.ndarray:
-        xs = self._sorted(x)
+        if self.rank > x.size:
+            raise ValueError(f"rank {self.rank} exceeds dimension {x.size}")
+        xs = np.sort(x)[::-1]
         tol = _tie_tol(x)
         phi = xs[self.rank - 1]
         if self.rank > 1 and xs[self.rank - 2] <= phi + tol:
@@ -341,23 +372,7 @@ class OrderStat(SymmetricFunction):
 
     def subgradients(self, x) -> SubgradientSet:
         x = _vec(x)
-        idx = self._active(x)
-        return SubgradientSet(kind="hull", vertices=np.eye(x.size)[idx])
-
-    def subderivative(self, x, w) -> float:
-        x, w = _vecs(x, w)
-        return float(np.max(w[self._active(x)]))
-
-    def gradient(self, x) -> np.ndarray:
-        x = _vec(x)
-        idx = self._active(x)
-        if idx.size != 1:
-            raise UnsupportedPointError(
-                "order statistic is not differentiable: the active value is tied"
-            )
-        g = np.zeros(x.size)
-        g[idx[0]] = 1.0
-        return g
+        return SubgradientSet(kind="hull", active=self._active(x), n=x.size)
 
 
 @dataclass(frozen=True)
@@ -420,32 +435,9 @@ class EigGapMax(SymmetricFunction):
                 )
         return idx
 
-    @staticmethod
-    def _vertex(i: int, n: int) -> np.ndarray:
-        e = np.zeros(n)
-        e[i] = 1.0
-        e[i + 1] = -1.0
-        return e
-
     def subgradients(self, x) -> SubgradientSet:
         x = _vec(x)
-        idx = self._active(x)
-        verts = np.stack([self._vertex(i, x.size) for i in idx])
-        return SubgradientSet(kind="hull", vertices=verts)
-
-    def subderivative(self, x, w) -> float:
-        x, w = _vecs(x, w)
-        idx = self._active(x)
-        return float(np.max(w[idx] - w[idx + 1]))
-
-    def gradient(self, x) -> np.ndarray:
-        x = _vec(x)
-        idx = self._active(x)
-        if idx.size != 1:
-            raise UnsupportedPointError(
-                "gap penalty is not differentiable: several gaps are tied for largest"
-            )
-        return self._vertex(int(idx[0]), x.size)
+        return SubgradientSet(kind="hull", active=self._active(x), gaps=True, n=x.size)
 
 
 @dataclass(frozen=True)
@@ -453,9 +445,9 @@ class McpSum(SymmetricFunction):
     """Coordinatewise minimax concave penalty, summed.
 
     Each coordinate contributes c|t| - t^2/(2a) while |t| <= a c and the
-    constant a c^2 / 2 beyond.  Requires a > 1 and c > 0.  The penalty is
-    differentiable except at 0; second-order objects additionally exclude
-    the cap boundary |t| = a c, where the curvature jumps.
+    constant a c^2 / 2 beyond.  Requires finite a > 1 and c > 0.  The
+    penalty is differentiable except at 0; second-order objects additionally
+    exclude the cap boundary |t| = a c, where the curvature jumps.
     """
 
     a: float
@@ -468,6 +460,8 @@ class McpSum(SymmetricFunction):
             raise ValueError("mcp requires a > 1")
         if not (self.c > 0.0):
             raise ValueError("mcp requires c > 0")
+        if not (np.isfinite(self.a) and np.isfinite(self.c)):
+            raise ValueError("mcp requires finite a and c")
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "c", float(self.c))
 
@@ -499,33 +493,21 @@ class McpSum(SymmetricFunction):
         upper = np.where(zero, self.c, g)
         return SubgradientSet(kind="box", lower=lower, upper=upper)
 
-    def subderivative(self, x, w) -> float:
-        x, w = _vecs(x, w)
-        zero = np.abs(x) <= _tie_tol(x)
-        g = self.phi_prime(x)
-        return float(np.sum(np.where(zero, self.c * np.abs(w), g * w)))
-
-    def second_subderivative(self, x, y, w) -> ExtReal:
-        x, y, w = _vecs(x, y, w)
-        self.check_subgradient(x, y)
-        tol = _tie_tol(x)
+    def _inner(self, x: np.ndarray) -> np.ndarray:
+        """The mask |x_i| < a c; a coordinate on the cap boundary |x_i| = a c,
+        where the curvature jumps, raises UnsupportedPointError."""
         cap = self.a * self.c
-        if np.any(np.abs(np.abs(x) - cap) <= tol):
+        if np.any(np.abs(np.abs(x) - cap) <= _tie_tol(x)):
             raise UnsupportedPointError(
                 "mcp second-order hypothesis violated: a coordinate sits on the "
                 "cap boundary |t| = a*c where the curvature jumps"
             )
-        zero = np.abs(x) <= tol
-        total = 0.0
-        for j in range(x.size):
-            if zero[j]:
-                resid = self.c * abs(w[j]) - y[j] * w[j]
-                if resid > CONE_RTOL * (1.0 + abs(w[j])):
-                    return POS_INF
-                total += -w[j] * w[j] / self.a
-            elif abs(x[j]) < cap:
-                total += -w[j] * w[j] / self.a
-        return ExtReal(total)
+        return np.abs(x) < cap
+
+    def _curvature(self, x, w) -> float:
+        """-||w_i||^2 / a over the inner coordinates."""
+        inner = w[self._inner(x)]
+        return 0.0 - float(inner @ inner) / self.a  # 0.0 - keeps an empty sum at +0.0
 
     def gradient(self, x) -> np.ndarray:
         x = _vec(x)
@@ -537,17 +519,8 @@ class McpSum(SymmetricFunction):
 
     def hessian_diagonal(self, x) -> np.ndarray:
         x = _vec(x)
-        tol = _tie_tol(x)
-        cap = self.a * self.c
-        if np.any(np.abs(x) <= tol):
-            raise UnsupportedPointError(
-                "mcp second derivative is undefined at zero coordinates"
-            )
-        if np.any(np.abs(np.abs(x) - cap) <= tol):
-            raise UnsupportedPointError(
-                "mcp second derivative is undefined on the cap boundary |t| = a*c"
-            )
-        return np.where(np.abs(x) < cap, -1.0 / self.a, 0.0)
+        self.gradient(x)  # zero coordinates raise
+        return np.where(self._inner(x), -1.0 / self.a, 0.0)
 
     def prox(self, gamma: float, x) -> ProxResult:
         gamma = float(gamma)
@@ -596,14 +569,8 @@ class SmoothSep(SymmetricFunction):
     def subgradients(self, x) -> SubgradientSet:
         return SubgradientSet(kind="point", point=self.gradient(x))
 
-    def subderivative(self, x, w) -> float:
-        x, w = _vecs(x, w)
-        return float(self.gradient(x) @ w)
-
-    def second_subderivative(self, x, y, w) -> ExtReal:
-        x, y, w = _vecs(x, y, w)
-        self.check_subgradient(x, y)
-        return ExtReal(self.coeff * float(w @ w))
+    def _curvature(self, x, w) -> float:
+        return self.coeff * float(w @ w)
 
     def prox(self, gamma: float, x) -> ProxResult:
         gamma = float(gamma)
@@ -638,6 +605,15 @@ def json_int(value, what: str) -> int:
     return int(value)
 
 
+def json_float(value, what: str) -> float:
+    """A real field of parsed JSON, which holds numbers as exactly int or
+    float; strings, booleans (a subclass of int), non-finite numbers and
+    integers beyond the float range raise ValueError."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def spec_from_json(data) -> SymmetricFunction:
     """Inverse of spec_to_json; accepts a dict or a JSON string.  Missing
     or malformed fields raise ValueError."""
@@ -652,21 +628,21 @@ def spec_from_json(data) -> SymmetricFunction:
         if name == "order_stat":
             return OrderStat(rank=json_int(data["i"], "order_stat 'i'"))
         if name == "mcp":
-            return McpSum(a=float(data["a"]), c=float(data["c"]))
+            return McpSum(a=json_float(data["a"], "mcp 'a'"), c=json_float(data["c"], "mcp 'c'"))
         if name == "eig_gap":
             return EigGapMax()
         if name == "smooth_sep":
             if "coeff" in data:
-                return SmoothSep(coeff=float(data["coeff"]))
-            coeffs = np.asarray(data.get("coeffs", 1.0), dtype=float).ravel()
-            if coeffs.size == 0 or np.max(coeffs) - np.min(coeffs) > 0:
+                return SmoothSep(coeff=json_float(data["coeff"], "smooth_sep 'coeff'"))
+            coeffs = data.get("coeffs", 1.0)
+            coeffs = coeffs if isinstance(coeffs, list) else [coeffs]
+            coeffs = [json_float(c, "smooth_sep 'coeffs'") for c in coeffs]
+            if not coeffs or max(coeffs) > min(coeffs):
                 raise ValueError(
                     "smooth_sep coefficients must be a single value: a non-uniform "
                     "diagonal quadratic is not permutation invariant"
                 )
-            return SmoothSep(coeff=float(coeffs[0]))
+            return SmoothSep(coeff=coeffs[0])
     except KeyError as exc:
         raise ValueError(f"penalty {name!r} needs the field {exc.args[0]!r}") from None
-    except TypeError as exc:
-        raise ValueError(f"penalty {name!r} has a malformed field: {exc}") from None
     raise ValueError(f"unknown penalty name: {name!r}")

@@ -563,6 +563,17 @@ FUZZ_FLAGS = {
     "theta-fractional-rank": ["--theta", '{"name":"order_stat","i":1.5}'],
 }
 
+# Bad penalty parameters: each loaded, as McpSum(2, 1) or with an infinite
+# parameter that PROX ran with and SSUB blamed on the matrix, except the
+# 401-digit integer, which was an OverflowError traceback with exit 1.
+FUZZ_THETAS = {
+    "mcp-infinite-c": '{"name":"mcp","a":2,"c":1e309}',
+    "mcp-infinite-a": '{"name":"mcp","a":1e309,"c":1}',
+    "mcp-huge-integer-a": '{"name":"mcp","a":1%s,"c":1}' % ("0" * 400),
+    "mcp-string-and-boolean": '{"name":"mcp","a":"2","c":true}',
+    "smooth-sep-string-coeffs": '{"name":"smooth_sep","coeffs":["1", 1]}',
+}
+
 
 def fuzz_job(tmp_path, matrix=FLAGSHIP, direction=OFFDIAG):
     def path(name, value):
@@ -609,6 +620,15 @@ class TestFuzz:
     def test_bad_flag_exits_cleanly(self, name, tmp_path, capsys):
         code, err = run_fuzz(fuzz_job(tmp_path) + FUZZ_FLAGS[name], capsys)
         assert code in (2, 3, 4)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["SSUB", "PROX"])
+    @pytest.mark.parametrize("name", sorted(FUZZ_THETAS))
+    def test_bad_theta_exits_two(self, name, command, tmp_path, capsys):
+        argv = fuzz_job(tmp_path) + ["--theta", FUZZ_THETAS[name], "--gamma", "0.5"]
+        argv[1] = command
+        code, err = run_fuzz(argv, capsys)
+        assert code == 2, err
         assert "Traceback" not in err
 
     def test_zero_samples_and_fractional_n_exit_two(self, tmp_path, capsys):

@@ -232,6 +232,16 @@ class TestCriticalCone:
 
 
 class TestSecondSubderivative:
+    def test_mcp_cone_edge_report(self):
+        # the kink coordinate misses c|w| = y w by 1.5e-8, inside the cone
+        # tolerance; the report read in_critical_cone=True with d2 = +inf
+        theta = McpSum(a=2.0, c=1.0)
+        triple = spectral_subgradient(theta, np.diag([1.0, 0.0]), [0.5, 1.0 - 1.5e-7])
+        rep = spectral_second_subderivative(theta, np.diag([1.0, 0.0]), triple, np.diag([1.0, 0.1]))
+        assert rep.in_critical_cone
+        assert rep.theta_d2.is_finite and rep.d2.is_finite
+        assert float(rep.d2) == pytest.approx(-0.505, rel=1e-12)
+
     def test_flagship_report(self):
         x = np.diag([2.0, 1.0])
         theta = OrderStat(rank=1)
@@ -703,6 +713,17 @@ class TestProxDirectional:
         )
         np.testing.assert_allclose(out.derivative, (4.0 / 3.0) * np.eye(2), atol=1e-9)
         assert out.converged
+
+    @pytest.mark.parametrize("theta", [SmoothSep(coeff=1.0), McpSum(a=2.0, c=1.0)], ids=lambda t: t.name)
+    def test_eigensystem_matches_matrix(self, theta):
+        # an EigenSystem used to raise a bare TypeError from as_sym_array
+        rng = key_rng(26)
+        x = random_symmetric(rng, 3)
+        d = random_symmetric(rng, 3)
+        a = prox_directional_derivative(theta, 0.5, x, d)
+        b = prox_directional_derivative(theta, 0.5, eig(x), d)
+        assert a.derivative.tobytes() == b.derivative.tobytes()
+        assert a.converged == b.converged
 
     def test_grid_validated(self):
         x = np.eye(2)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specvar import (
@@ -62,6 +62,10 @@ class TestValues:
             McpSum(a=1.0, c=1.0)
         with pytest.raises(ValueError):
             McpSum(a=2.0, c=0.0)
+        # an infinite c made value NaN, an infinite a made the prox NaN
+        for a, c in ((2.0, math.inf), (math.inf, 1.0), (2.0, math.nan)):
+            with pytest.raises(ValueError):
+                McpSum(a=a, c=c)
         with pytest.raises(ValueError):
             OrderStat(rank=0)
         with pytest.raises(ValueError):
@@ -167,7 +171,7 @@ class TestSubgradients:
         y[idx] = rng.dirichlet(np.ones(idx.size))
         y += rng.uniform(-3.0, 3.0, n) * tol * float(rng.choice([0.0, 0.5, 0.9, 1.1, 2.0]))
         _, resid = _hull_fit(verts, y)
-        assert SubgradientSet(kind="hull", vertices=verts).contains(y, tol) == (resid <= tol)
+        assert SubgradientSet(kind="hull", active=idx, n=n).contains(y, tol) == (resid <= tol)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10_000))
@@ -182,7 +186,25 @@ class TestSubgradients:
         y = rng.dirichlet(np.ones(idx.size)) @ verts
         y += rng.uniform(-3.0, 3.0, n) * tol * float(rng.choice([0.0, 0.5, 0.9, 1.1, 2.0]))
         _, resid = _hull_fit(verts, y, TIGHT)
-        assert SubgradientSet(kind="hull", vertices=verts).contains(y, tol) == (resid <= tol)
+        assert SubgradientSet(kind="hull", active=idx, gaps=True, n=n).contains(y, tol) == (resid <= tol)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10_000), st.booleans())
+    def test_support_and_canonical_vertex_match_dense_rows(self, seed, gaps):
+        # the active-set formulas against the vertex matrix they describe
+        rng = key_rng(45, seed)
+        n = int(rng.integers(2, 8))
+        m = n - 1 if gaps else n
+        idx = np.sort(rng.choice(m, int(rng.integers(1, m + 1)), replace=False))
+        s = SubgradientSet(kind="hull", active=idx, gaps=gaps, n=n)
+        verts = s.vertices
+        assert np.array_equal(verts, np.eye(n)[idx] - (np.eye(n)[idx + 1] if gaps else 0.0))
+        for _ in range(5):
+            w = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+            w[rng.random(n) < 0.3] = 0.0
+            assert s.support(w) == np.max(verts @ w)
+        smallest = sorted(map(tuple, verts))[0]
+        assert s.canonical_vertex().tobytes() == np.array(smallest).tobytes()
 
     def test_gap_hull_tolerance_is_sup_norm(self):
         s = EigGapMax().subgradients([4.0, 2.0, 0.0])  # conv{(1,-1,0), (0,1,-1)}
@@ -191,11 +213,6 @@ class TestSubgradients:
         assert s.contains([0.5, -0.5, 0.0], tol=0.25)
         assert not s.contains([0.5, -0.5, 0.0], tol=0.24)
         assert not s.contains([0.0, 0.0, 0.0], tol=0.49)
-
-    def test_foreign_hull_raises(self):
-        s = SubgradientSet(kind="hull", vertices=np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]))
-        with pytest.raises(ValueError, match="closed form only"):
-            s.contains([0.5, 1.0, 0.5])
 
     def test_order_stat_leading_hypothesis(self):
         # rank 2 needs a strict gap above; (2,2,0) ties ranks 1 and 2
@@ -279,6 +296,48 @@ class TestSubderivative:
             assert d <= q + t * (1.0 + float(w @ w))
 
 
+@st.composite
+def cone_instances(draw):
+    """A penalty, a sorted point with ties and zeros, a subgradient y there
+    (a vertex, an interior point, or a kink weight 1e-9 to 1e-6 inside the
+    box end), and a direction that is critical for y about half the time."""
+    f = draw(st.sampled_from([OrderStat(1), OrderStat(2), EigGapMax(), McpSum(2.0, 1.0), SmoothSep(1.5)]))
+    n = draw(st.integers(2, 5))
+    levels = st.sampled_from([-3.0, -1.0, 0.0, 0.5, 1.0, 4.0])
+    x = np.sort(draw(st.lists(levels, min_size=n, max_size=n)))[::-1]
+    rng = key_rng(35, draw(st.integers(0, 10_000)))
+    try:
+        s = f.subgradients(x)
+    except UnsupportedPointError:  # gaps of 1 and 2, often several maximal
+        g = rng.choice([1.0, 2.0], n - 1)
+        f, x = EigGapMax(), np.concatenate([np.cumsum(g[::-1])[::-1], [0.0]])
+        s = f.subgradients(x)
+    w = rng.standard_normal(n)
+    w[rng.random(n) < 0.3] = 0.0
+    if s.kind == "point":
+        return f, x, s.point, w
+    if s.kind == "box":
+        kink = s.lower < s.upper
+        end = rng.choice([-1.0, 1.0], n) * (1.0 - rng.choice([0.0, 1e-9, 1.5e-7, 1e-6, 0.5], n))
+        y = np.where(kink, end * s.upper, s.lower)
+        if rng.random() < 0.5:  # critical: w_i y_i = c |w_i| on the kinks
+            w = np.where(kink, np.where(np.abs(end) == 1.0, np.sign(end) * np.abs(w), 0.0), w)
+        return f, x, y, w
+    coef = rng.dirichlet(np.ones(s.active.size)) * (rng.random(s.active.size) < 0.7)
+    coef = coef / coef.sum() if coef.any() else np.eye(s.active.size)[0]
+    y = coef @ s.vertices
+    if rng.random() < 0.5:  # critical: every weighted vertex attains max <v, w>
+        rates = w[s.active] - w[s.active + 1] if s.gaps else w[s.active]
+        top = rates.max()
+        if s.gaps:  # rewrite the gaps of w, keeping w_(n-1)
+            d = w[:-1] - w[1:]
+            d[s.active[coef > 0]] = top
+            w = np.concatenate([np.cumsum(d[::-1])[::-1] + w[-1], w[-1:]])
+        else:
+            w[s.active[coef > 0]] = top
+    return f, x, y, w
+
+
 class TestSecondSubderivative:
     def test_mcp_pinned(self):
         f = McpSum(a=2.0, c=1.0)
@@ -353,6 +412,23 @@ class TestSecondSubderivative:
                 continue
             if v.is_finite:
                 assert f.critical_cone_member(x, y, w)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cone_instances())
+    @example(inst=(McpSum(2.0, 1.0), np.array([1.0, 0.0]), np.array([0.5, 1 - 1.5e-7]), np.array([1.0, 0.1])))
+    def test_finite_exactly_on_the_cone(self, inst):
+        # one cone test serves both: McpSum's own per-coordinate test read
+        # the example as off the cone while critical_cone_member read it on
+        f, x, y, w = inst
+        assert f.second_subderivative(x, y, w).is_finite == f.critical_cone_member(x, y, w)
+
+    def test_mcp_cone_edge(self):
+        # the kink coordinate misses c|w| = y w by 1.5e-8, inside the cone
+        # tolerance 1e-8 * (1 + ||w||) = 2.0e-8
+        f = McpSum(a=2.0, c=1.0)
+        x, y, w = [1.0, 0.0], [0.5, 1.0 - 1.5e-7], [1.0, 0.1]
+        assert f.critical_cone_member(x, y, w)
+        assert float(f.second_subderivative(x, y, w)) == pytest.approx(-0.505, rel=1e-12)
 
     def test_mcp_at_kink_with_extreme_weight(self):
         f = McpSum(a=2.0, c=1.0)
@@ -571,6 +647,13 @@ class TestSerialization:
             {"name": "mcp", "a": 2.0},
             {"name": "mcp", "a": {"x": 1}, "c": 1.0},
             {"name": "smooth_sep", "coeffs": {"x": 1}},
+            # these loaded as McpSum(2, 1) or with an infinite parameter
+            {"name": "mcp", "a": "2", "c": True},
+            {"name": "mcp", "a": 2.0, "c": math.inf},
+            {"name": "mcp", "a": 10**400, "c": 1.0},
+            {"name": "smooth_sep", "coeff": math.nan},
+            {"name": "smooth_sep", "coeffs": ["1", 1.0]},
+            {"name": "smooth_sep", "coeffs": [True]},
         ],
     )
     def test_rejects_missing_and_mistyped_fields(self, payload):
