@@ -7,6 +7,7 @@ spectrum of Ht_mm, and second-order terms add the divided differences
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,19 @@ def _rotate(es: EigenSystem, h) -> _Rotated:
         if len(b) > 1:
             dd[b] = np.linalg.eigvalsh(ht[np.ix_(b, b)])[::-1]
     return _Rotated(es, ht, inv_gap, dd)
+
+
+def _rotate_squared(es: EigenSystem, h) -> _Rotated:
+    """``_rotate`` for the second-order terms: Ht^2 and Ht^2 * inv_gap, bounded
+    through ||H||_F <= n max|H_ij|.  A direction too large for them to stay
+    finite raises ValueError before anything overflows into inf or NaN."""
+    hm = as_sym_array(h)
+    scale = float(np.max(np.abs(hm)))
+    gap = float(np.min(es.mu[:-1] - es.mu[1:])) if es.r > 1 else math.inf
+    bound = es.n * scale  # Python floats overflow to inf without a warning
+    if not math.isfinite(bound * bound * (1.0 + 1.0 / gap)):
+        raise ValueError(f"direction of scale {scale:.3g} is too large: its squares overflow")
+    return _rotate(es, hm)
 
 
 def eig_dir_derivative(es: EigenSystem, h) -> np.ndarray:

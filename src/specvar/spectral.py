@@ -20,11 +20,12 @@ The exported pieces:
 
 Conventions.  Subgradient data for the lift is carried as a triple: the raw
 weight vector y (one weight per eigenvector column, in eigenvalue order),
-its blockwise nonincreasing rearrangement v, and the embedded matrix
-U Diag(y) U^T.  The penalty-level second subderivative is evaluated at the
-sorted pair (v, eigenvalue directional derivative); the cluster curvature
-correction uses the raw y.  Mixing these up breaks instances with repeated
-eigenvalues, so the triple keeps both vectors side by side.
+its blockwise nonincreasing rearrangement v, the embedded matrix
+U Diag(y) U^T and the EigenSystem of U.  The penalty-level second
+subderivative is evaluated at the sorted pair (v, eigenvalue directional
+derivative); the cluster curvature correction uses the raw y.  Mixing these
+up breaks instances with repeated eigenvalues, so the triple keeps both
+vectors side by side.
 
 The second subderivative is reported as +infinity off the critical cone
 even when only a Fan gap fails and the penalty-level term is finite;
@@ -35,6 +36,10 @@ The functions of a point X take it either as a matrix, clustered by ``eig``
 at its default width, or as an EigenSystem; prox_directional_derivative
 clusters its perturbed points at the default width.  The clustering width
 is chosen only in ``eig``: a caller who wants another one passes it there.
+A function of X and a triple reuses the triple's EigenSystem for a matrix
+X that ``eig`` would decompose into exactly it (same symmetrized entries,
+default width), so X is decomposed once and bit-identically; a triple built
+by hand carries none.  A direction whose squares overflow is a ValueError.
 """
 from __future__ import annotations
 
@@ -45,7 +50,7 @@ import numpy as np
 from .errors import UnsupportedPointError
 from .extreal import POS_INF, ExtReal
 from .oracle import QuotientProbe, numeric_second_subderivative
-from .perturb import _rotate, _Rotated, eig_dir_derivative
+from .perturb import _rotate, _rotate_squared, _Rotated, eig_dir_derivative
 from .symmat import (
     FAN_TOL,
     EigenSystem,
@@ -55,6 +60,7 @@ from .symmat import (
     block_sort_permutation,
     cluster_means,
     eig,
+    tie_width,
 )
 from .symfun import OrderStat, SymmetricFunction, spec_to_json
 
@@ -62,8 +68,19 @@ PROX_DIR_TOL = 1e-4
 SEMIDERIV_CHECK_RTOL = 1e-8  # semiderivative vs general d2 at the gradient, in the tests
 
 
-def _as_eigensystem(x) -> EigenSystem:
-    return x if isinstance(x, EigenSystem) else eig(x)
+def _as_eigensystem(x, triple: SubgradientTriple | None = None) -> EigenSystem:
+    """x itself, else the triple's EigenSystem if eig(x) would return exactly
+    it, else eig(x)."""
+    if isinstance(x, EigenSystem):
+        return x
+    es = getattr(triple, "es", None)
+    if es is not None and es.cluster_tol == tie_width(float(np.max(np.abs(es.lam)))):
+        a = as_sym_array(x)
+        if a is es.matrix.entries or np.array_equal(
+            a if isinstance(x, SymMatrix) else (a + a.T) / 2.0, es.matrix.entries
+        ):
+            return es
+    return eig(x)
 
 
 def lifted(theta: SymmetricFunction):
@@ -99,12 +116,16 @@ class SubgradientTriple:
     y: weight per eigenvector column, in eigenvalue order;
     v: blockwise nonincreasing rearrangement of y
        (y[symmat.block_sort_order(y, bounds)]);
-    matrix: the embedded subgradient U Diag(y) U^T.
+    matrix: the embedded subgradient U Diag(y) U^T;
+    es: the EigenSystem y is written in (None if built by hand), which the
+        (X, triple) functions reuse.  A triple thus holds three n x n
+        arrays (``matrix``, ``es.u``, ``es.matrix``): keep reports, not triples.
     """
 
     y: np.ndarray
     v: np.ndarray
     matrix: SymMatrix
+    es: EigenSystem | None = None
 
 
 def spectral_subgradient(
@@ -127,8 +148,8 @@ def spectral_subgradient(
         raise ValueError(f"subgradient vector must have length {es.n}, got {y.shape}")
     v = block_sort_permutation(y, es)
     theta.check_subgradient(es.lam, v)
-    mat = SymMatrix(es.u @ np.diag(y) @ es.u.T)
-    return SubgradientTriple(y=y, v=v, matrix=mat)
+    mat = SymMatrix((es.u * y) @ es.u.T)
+    return SubgradientTriple(y=y, v=v, matrix=mat, es=es)
 
 
 def spectral_subderivative(theta: SymmetricFunction, x, h) -> float:
@@ -144,7 +165,7 @@ def subderivative_gap(
     """dg(X)(H) - <Y, H>; nonnegative up to rounding, and zero exactly on
     the critical cone.  This is the definition-level cone test the
     structural one is equivalent to."""
-    es = _as_eigensystem(x)
+    es = _as_eigensystem(x, triple)
     dg = spectral_subderivative(theta, es, h)
     pairing = float(np.vdot(triple.matrix.entries, as_sym_array(h)))
     return dg - pairing
@@ -169,7 +190,7 @@ def curvature_correction(x, y, h) -> float:
     y = np.asarray(y, dtype=float)
     if y.shape != (es.n,):
         raise ValueError(f"weight vector must have length {es.n}, got {y.shape}")
-    return 2.0 * float(y @ _rotate(es, h).coupling())
+    return 2.0 * float(y @ _rotate_squared(es, h).coupling())
 
 
 def fan_block_gaps(x, y, h) -> np.ndarray:
@@ -197,9 +218,9 @@ def critical_cone_member(
     Fan equality (gap at most 1e-8) between Diag(y)_mm and the compression
     of h.  The conjunction is equivalent to dg(X)(H) = <Y, H> because both
     residuals are nonnegative."""
-    es = _as_eigensystem(x)
+    es = _as_eigensystem(x, triple)
     theta.check_subgradient(es.lam, triple.v)
-    return _in_critical_cone(theta, triple, _rotate(es, h))
+    return _in_critical_cone(theta, triple, _rotate_squared(es, h))
 
 
 @dataclass(frozen=True, slots=True)
@@ -272,9 +293,9 @@ def spectral_second_subderivative(
     With a probe, the quotient oracle runs against the same data and its
     estimate is attached; the oracle never feeds back into the closed-form
     numbers."""
-    es = _as_eigensystem(x)
+    es = _as_eigensystem(x, triple)
     hm = as_sym_array(h)
-    rot = _rotate(es, hm)
+    rot = _rotate_squared(es, hm)
     dd = rot.dd
     dg = theta.subderivative(es.lam, dd)
     pairing = float(triple.y @ np.diag(rot.ht))
@@ -324,7 +345,7 @@ def leading_eig_second_subderivative(x, i: int, triple: SubgradientTriple, h) ->
     The triple must be a valid order-statistic subgradient supported on the
     i-th cluster; the result agrees with the general machinery run on the
     matching order statistic."""
-    es = _as_eigensystem(x)
+    es = _as_eigensystem(x, triple)
     if not 1 <= i <= es.r:
         raise UnsupportedPointError(
             f"cluster index {i} out of range: the spectrum has {es.r} clusters"
@@ -336,7 +357,7 @@ def leading_eig_second_subderivative(x, i: int, triple: SubgradientTriple, h) ->
         raise UnsupportedPointError(
             f"subgradient weights must be supported on cluster {i}"
         )
-    rot = _rotate(es, h)
+    rot = _rotate_squared(es, h)
     if not _in_critical_cone(theta, triple, rot):
         return POS_INF
     return ExtReal(2.0 * float(triple.y @ (rot.ht**2 @ rot.inv_gap[es.blocks[m].start])))
@@ -354,7 +375,7 @@ def second_semiderivative(theta: SymmetricFunction, x, h) -> float:
     es = _as_eigensystem(x)
     grad = theta.gradient(es.lam)
     hess = theta.hessian_diagonal(es.lam)
-    rot = _rotate(es, h)
+    rot = _rotate_squared(es, h)
     return float(hess @ (rot.dd**2) + 2.0 * grad @ rot.coupling())
 
 
@@ -376,7 +397,7 @@ def spectral_prox(theta: SymmetricFunction, gamma: float, x) -> SpectralProxResu
     es = _as_eigensystem(x)
     pr = theta.prox(gamma, es.lam)
     p = np.sort(np.asarray(pr.point, dtype=float))[::-1]
-    mat = SymMatrix(es.u @ np.diag(p) @ es.u.T)
+    mat = SymMatrix((es.u * p) @ es.u.T)
     return SpectralProxResult(matrix=mat, eigenvalues=p, closed_form=pr.closed_form)
 
 

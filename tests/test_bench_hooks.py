@@ -14,6 +14,11 @@ PENALTIES = [
     OrderStat(rank=1), OrderStat(rank=2), EigGapMax(), McpSum(a=2.0, c=1.0), SmoothSep(coeff=1.5)
 ]
 
+X = np.diag([3.0, 1.5, 0.5, -1.0])
+H = np.array(
+    [[0.3, 1.0, 0.0, 0.2], [1.0, -0.2, 0.5, 0.0], [0.0, 0.5, 0.1, 0.4], [0.2, 0.0, 0.4, 0.6]]
+)
+
 
 def load_spans():
     """perfbench/spans.py as a module, loaded from its path."""
@@ -30,10 +35,6 @@ def test_trace_hooks_resolve_count_and_restore():
         assert meth in vars(symfun.SymmetricFunction), meth
     owners = [*spans._namespaces(), np.linalg, *spans.PENALTY_CLASSES]
     before = [(owner, dict(vars(owner))) for owner in owners]
-    x = np.diag([3.0, 1.5, 0.5, -1.0])
-    h = np.array(
-        [[0.3, 1.0, 0.0, 0.2], [1.0, -0.2, 0.5, 0.0], [0.0, 0.5, 0.1, 0.4], [0.2, 0.0, 0.4, 0.6]]
-    )
     d2 = symfun.SymmetricFunction.second_subderivative
     tracer = spans.Tracer()
     tracer.install()
@@ -41,10 +42,10 @@ def test_trace_hooks_resolve_count_and_restore():
         assert symfun.SymmetricFunction.second_subderivative is not d2
         tracer.job = 0
         for theta in PENALTIES:
-            es = specvar.eig(x)
+            es = specvar.eig(X)
             triple = specvar.spectral_subgradient(theta, es)
-            specvar.spectral_second_subderivative(theta, es, triple, h)
-        specvar.spectral_prox(McpSum(a=2.0, c=1.0), 0.5, x)
+            specvar.spectral_second_subderivative(theta, es, triple, H)
+        specvar.spectral_prox(McpSum(a=2.0, c=1.0), 0.5, X)
         metrics = tracer.layer_metrics(1)
     finally:
         tracer.remove()
@@ -62,3 +63,20 @@ def test_trace_hooks_resolve_count_and_restore():
     for owner, attrs in before:
         after = vars(owner)
         assert all(after[key] is val for key, val in attrs.items()), owner
+
+
+def test_d2_at_a_raw_matrix_decomposes_once():
+    # the triple carries the EigenSystem spectral_subgradient computed, so
+    # a d2 at the same raw matrix reuses it
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        tracer.job = 0
+        for theta in PENALTIES:
+            triple = specvar.spectral_subgradient(theta, X)
+            specvar.spectral_second_subderivative(theta, X, triple, H)
+        metrics = tracer.layer_metrics(len(PENALTIES))
+    finally:
+        tracer.remove()
+    assert metrics["symmat.eig.calls"][0] == 1.0
+    assert metrics["spectral.spectral_second_subderivative.calls"][0] == 1.0

@@ -631,6 +631,36 @@ class TestFuzz:
         assert code == 2, err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, theta",
+        [
+            ("SSUB", '{"name":"mcp","a":2,"c":1}'),
+            ("SSUB", '{"name":"order_stat","i":1}'),
+            ("CRITCONE", '{"name":"order_stat","i":1}'),
+            ("CRITCONE", '{"name":"mcp","a":2,"c":1}'),
+            ("SEMIDERIV", '{"name":"order_stat","i":1}'),
+        ],
+    )
+    def test_huge_direction_exits_two(self, command, theta, tmp_path):
+        # the squares of 1e200 overflow: SSUB ended in "ExtReal does not
+        # admit -infinity", CRITCONE read in_critical_cone true off an
+        # overflowed norm, SEMIDERIV printed NaN with exit 0; 1e100 still runs
+        x = write_json_matrix(tmp_path / "x.json", [[1.0, 0.0], [0.0, 0.0]])
+        for scale, want in ((1e200, 2), (1e100, 0)):
+            h = write_json_matrix(tmp_path / "h.json", (scale * np.eye(2)).tolist())
+            proc = subprocess.run(
+                [sys.executable, "-W", "error::RuntimeWarning", "-m", "specvar.cli",
+                 "--command", command, "--matrix", x, "--direction", h, "--theta", theta],
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert proc.returncode == want, (scale, proc.stderr)
+            assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+            if want == 2:
+                assert "ExtReal" not in proc.stderr and "1e+200" in proc.stderr
+                assert proc.stdout == ""
+
     def test_zero_samples_and_fractional_n_exit_two(self, tmp_path, capsys):
         # --probe-samples 0 used to become the default 256, and n = 2.5 was
         # truncated to 2; both ran to exit 0

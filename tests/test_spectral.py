@@ -1,6 +1,8 @@
 """Assembly layer: values, subgradient triples, first- and second-order
 directional analysis, cone membership, and the prox map of the lifted
 penalties, including the closed-form leading-eigenvalue shortcut."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from specvar import (
     McpSum,
     OrderStat,
     QuotientProbe,
+    SecondOrderReport,
     SmoothSep,
     EigGapMax,
     SubgradientTriple,
@@ -398,6 +401,134 @@ class TestSecondSubderivative:
             spectral_subgradient(OrderStat(rank=2), x)
 
 
+def report_bits(rep: SecondOrderReport) -> tuple:
+    """Every field of a report, arrays as raw bytes and scalars by repr."""
+    out = []
+    for f in dataclasses.fields(rep):
+        val = getattr(rep, f.name)
+        if isinstance(val, np.ndarray):
+            out.append((f.name, val.dtype.str, val.shape, val.tobytes()))
+        elif f.name != "penalty":
+            out.append((f.name, repr(val)))
+    return tuple(out)
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """A list that grows by one on every np.linalg.eigh call."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def pair_calls(theta, es, h):
+    """The (X, triple) functions as callables of (x, triple), the
+    leading-eigenvalue route where theta is the order statistic leading a
+    cluster of es."""
+    calls = {
+        "d2": lambda x, t: report_bits(spectral_second_subderivative(theta, x, t, h)),
+        "critical_cone_member": lambda x, t: critical_cone_member(theta, x, t, h),
+        "subderivative_gap": lambda x, t: repr(subderivative_gap(theta, x, t, h)),
+    }
+    starts = [b.start for b in es.blocks]
+    if isinstance(theta, OrderStat) and theta.rank - 1 in starts:
+        i = starts.index(theta.rank - 1) + 1
+        calls["leading_eig"] = lambda x, t: repr(leading_eig_second_subderivative(x, i, t, h))
+    return calls
+
+
+class TestOneDecomposition:
+    """A triple remembers the EigenSystem it was written in, and the
+    functions of (X, triple) reuse it for a matrix X that eig would
+    decompose into exactly that EigenSystem."""
+
+    @pytest.mark.parametrize("kind", CRITICAL_KINDS)
+    def test_one_eigh_per_subgradient_and_call(self, kind, eigh_calls):
+        rng = key_rng(40, CRITICAL_KINDS.index(kind))
+        for k in range(4):
+            theta, es, y, h = critical_instance(rng, kind)
+            x = np.array(es.matrix.entries)
+            for name, call in pair_calls(theta, es, h).items():
+                before = len(eigh_calls)
+                call(x, spectral_subgradient(theta, x, y))
+                assert len(eigh_calls) - before == 1, (kind, k, name)
+
+    @pytest.mark.parametrize("kind", CRITICAL_KINDS)
+    def test_matrix_eigensystem_and_hand_built_triple_agree(self, kind):
+        # distinct spectra ("distinct", "gap") and clustered ones (the rest)
+        rng = key_rng(41, CRITICAL_KINDS.index(kind))
+        for k in range(4):
+            theta, es, y, h = critical_instance(rng, kind)
+            x = np.array(es.matrix.entries)
+            triple = spectral_subgradient(theta, x, y)
+            assert triple.es is not None
+            hand = SubgradientTriple(y=triple.y, v=triple.v, matrix=triple.matrix)
+            for name, call in pair_calls(theta, es, h).items():
+                want = call(x, triple)
+                assert call(eig(x), triple) == want, (kind, k, name)
+                assert call(x.copy(), hand) == want, (kind, k, name)
+
+    def test_triple_clustered_at_another_width_is_not_reused(self, eigh_calls):
+        # clustered at 1e-3 the top pair is one cluster; a raw X is
+        # decomposed again at the default width, where it is two
+        rng = key_rng(42)
+        x, _ = matrix_with_spectrum(rng, np.array([1.0, 1.0 - 1e-4, -0.5]))
+        es_wide = eig(x, cluster_tol=1e-3)
+        assert es_wide.r == 2 and eig(x).r == 3
+        h = random_symmetric(rng, 3)
+        for theta in (OrderStat(rank=1), SmoothSep(coeff=1.0)):
+            triple = spectral_subgradient(theta, es_wide)
+            before = len(eigh_calls)
+            got = spectral_second_subderivative(theta, x, triple, h)
+            assert len(eigh_calls) - before == 1
+            want = spectral_second_subderivative(theta, eig(x), triple, h)
+            assert report_bits(got) == report_bits(want)
+            assert got.block_bounds.tolist() == [0, 1, 2, 3]
+            assert got.d2.is_finite
+
+    def test_triple_of_another_matrix_is_not_reused(self):
+        rng = key_rng(44)
+        x, _ = matrix_with_spectrum(rng, np.array([2.0, 1.0, -0.5]))
+        h = random_symmetric(rng, 3)
+        triple = spectral_subgradient(OrderStat(rank=1), x)
+        other = x.copy()
+        other[0, 0] += 1e-12
+        got = spectral_second_subderivative(OrderStat(rank=1), other, triple, h)
+        want = spectral_second_subderivative(OrderStat(rank=1), eig(other), triple, h)
+        assert report_bits(got) == report_bits(want)
+        assert got.spectrum.tobytes() != triple.es.lam.tobytes()
+
+
+class TestHugeDirection:
+    def test_second_order_terms_refuse_overflow(self):
+        # the squares of 1e200 overflow: a named ValueError, not inf * 0 =
+        # NaN, an overflowed cone norm or an internal ExtReal error
+        x = np.diag([1.0, 0.0])
+        huge = 1e200 * np.eye(2)
+        theta, mcp = OrderStat(rank=1), McpSum(a=2.0, c=1.0)
+        triple = spectral_subgradient(theta, x)
+        calls = [
+            lambda: spectral_second_subderivative(theta, x, triple, huge),
+            lambda: spectral_second_subderivative(mcp, x, spectral_subgradient(mcp, x), huge),
+            lambda: critical_cone_member(theta, x, triple, huge),
+            lambda: leading_eig_second_subderivative(x, 1, triple, huge),
+            lambda: second_semiderivative(theta, x, huge),
+            lambda: curvature_correction(x, triple.y, huge),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="scale 1e\\+200"):
+                call()
+        # first-order data does not square the direction
+        assert spectral_subderivative(theta, x, huge) == 1e200
+        assert second_semiderivative(theta, x, 1e100 * np.eye(2)) == 0.0
+
+
 def homogeneous_instances():
     """(theta, es, y, h) for the positively homogeneous penalties, each
     with a finite second subderivative: order statistics at clustered
@@ -688,6 +819,26 @@ class TestSpectralProx:
             spectral_prox(McpSum(a=2.0, c=1.0), 2.0, np.eye(2))
         with pytest.raises(ValueError):
             spectral_prox(SmoothSep(coeff=1.0), 0.0, np.eye(2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64, 200])
+def test_embedding_is_bit_identical_to_two_gemms(n):
+    # (U * y) @ U^T is one GEMM; U @ diag(y) equals U * y exactly, so the
+    # remaining GEMM sees the same operands.  McpSum(2, 1) has zero weights
+    # beyond |lambda| = 2 and a zero prox within |lambda| <= gamma
+    theta, gamma = McpSum(a=2.0, c=1.0), 0.5
+    rng = key_rng(43, n)
+    for diagonal in (False, True):
+        mag = rng.choice([0.25, 1.2, 3.0], size=n) + rng.uniform(0.0, 0.2, size=n)
+        lam = np.sort(mag * rng.choice([-1.0, 1.0], size=n))[::-1]
+        x = np.diag(lam) if diagonal else matrix_with_spectrum(rng, lam)[0]
+        es = eig(x)
+        tr = spectral_subgradient(theta, x)
+        want = SymMatrix(es.u @ np.diag(tr.y) @ es.u.T).entries
+        assert tr.matrix.entries.tobytes() == want.tobytes()
+        res = spectral_prox(theta, gamma, x)
+        want = SymMatrix(es.u @ np.diag(res.eigenvalues) @ es.u.T).entries
+        assert res.matrix.entries.tobytes() == want.tobytes()
 
 
 class TestProxDirectional:
