@@ -33,9 +33,8 @@ class _Rotated:
     def fan_gaps(self, y: np.ndarray) -> np.ndarray:
         """Fan gap of Diag(y)_mm against Ht_mm per cluster; 0 for singletons."""
         gaps = np.zeros(self.es.r)
-        for m, b in enumerate(self.es.blocks):
-            if len(b) > 1:
-                gaps[m] = fan_gap(np.diag(y[b]), self.ht[np.ix_(b, b)])
+        for m, b in self.es.tied_blocks:
+            gaps[m] = fan_gap(np.diag(y[b]), self.ht[np.ix_(b, b)])
         return gaps
 
 
@@ -50,9 +49,8 @@ def _rotate(es: EigenSystem, h) -> _Rotated:
     inv_gap = np.zeros((es.n, es.n))
     np.divide(1.0, mu[:, None] - mu[None, :], out=inv_gap, where=ids[:, None] != ids[None, :])
     dd = np.diag(ht).copy()
-    for b in es.blocks:
-        if len(b) > 1:
-            dd[b] = np.linalg.eigvalsh(ht[np.ix_(b, b)])[::-1]
+    for _, b in es.tied_blocks:
+        dd[b] = np.linalg.eigvalsh(ht[np.ix_(b, b)])[::-1]
     return _Rotated(es, ht, inv_gap, dd)
 
 
@@ -86,9 +84,8 @@ def eig_second_prediction(es: EigenSystem, h, t: float) -> np.ndarray:
     rot = _rotate(es, h)
     t, ht = float(t), rot.ht
     out = es.mu[es.block_ids] + t * np.diag(ht) + t * t * rot.coupling()
-    for m, b in enumerate(es.blocks):
-        if len(b) > 1:
-            core = t * ht[np.ix_(b, b)] + t * t * (ht[b, :] * rot.inv_gap[b.start]) @ ht[:, b]
-            out[b] = es.mu[m] + np.linalg.eigvalsh(core)[::-1]
+    for m, b in es.tied_blocks:
+        core = t * ht[np.ix_(b, b)] + t * t * (ht[b, :] * rot.inv_gap[b.start]) @ ht[:, b]
+        out[b] = es.mu[m] + np.linalg.eigvalsh(core)[::-1]
     return out
 

@@ -20,12 +20,12 @@ The exported pieces:
 
 Conventions.  Subgradient data for the lift is carried as a triple: the raw
 weight vector y (one weight per eigenvector column, in eigenvalue order),
-its blockwise nonincreasing rearrangement v, the embedded matrix
-U Diag(y) U^T and the EigenSystem of U.  The penalty-level second
-subderivative is evaluated at the sorted pair (v, eigenvalue directional
-derivative); the cluster curvature correction uses the raw y.  Mixing these
-up breaks instances with repeated eigenvalues, so the triple keeps both
-vectors side by side.
+its blockwise nonincreasing rearrangement v, the EigenSystem of U, and the
+embedded matrix U Diag(y) U^T, built when first read.  The penalty-level
+second subderivative is evaluated at the sorted pair (v, eigenvalue
+directional derivative); the cluster curvature correction uses the raw y.
+Mixing these up breaks instances with repeated eigenvalues, so the triple
+keeps both vectors side by side.
 
 The second subderivative is reported as +infinity off the critical cone
 even when only a Fan gap fails and the penalty-level term is finite;
@@ -44,6 +44,7 @@ by hand carries none.  A direction whose squares overflow is a ValueError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,7 +63,7 @@ from .symmat import (
     eig,
     tie_width,
 )
-from .symfun import OrderStat, SymmetricFunction, spec_to_json
+from .symfun import OrderStat, SubgradientSet, SymmetricFunction, _in_cone, spec_to_json
 
 PROX_DIR_TOL = 1e-4
 SEMIDERIV_CHECK_RTOL = 1e-8  # semiderivative vs general d2 at the gradient, in the tests
@@ -109,23 +110,34 @@ def spectral_value(theta: SymmetricFunction, x) -> float:
     return theta.value(es.lam)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SubgradientTriple:
     """A subgradient of the lift in both coordinates.
 
     y: weight per eigenvector column, in eigenvalue order;
     v: blockwise nonincreasing rearrangement of y
        (y[symmat.block_sort_order(y, bounds)]);
-    matrix: the embedded subgradient U Diag(y) U^T;
     es: the EigenSystem y is written in (None if built by hand), which the
-        (X, triple) functions reuse.  A triple thus holds three n x n
-        arrays (``matrix``, ``es.u``, ``es.matrix``): keep reports, not triples.
+        (X, triple) functions reuse;
+    matrix: the embedded subgradient U Diag(y) U^T, given by hand or built
+        from ``es`` when first read.  With ``es.u`` and ``es.matrix`` that
+        is three n x n arrays: keep reports, not triples.
     """
 
     y: np.ndarray
     v: np.ndarray
-    matrix: SymMatrix
-    es: EigenSystem | None = None
+    es: EigenSystem | None
+
+    def __init__(self, y, v, matrix: SymMatrix | None = None, es: EigenSystem | None = None):
+        if matrix is None and es is None:
+            raise TypeError("a SubgradientTriple needs its matrix or its EigenSystem")
+        self.__dict__.update(y=y, v=v, es=es)
+        if matrix is not None:
+            self.__dict__["matrix"] = matrix
+
+    @cached_property
+    def matrix(self) -> SymMatrix:
+        return SymMatrix((self.es.u * self.y) @ self.es.u.T)
 
 
 def spectral_subgradient(
@@ -141,15 +153,15 @@ def spectral_subgradient(
     raises InvalidSubgradientError.
     """
     es = _as_eigensystem(x)
-    if y is None:
-        y = theta.subgradients(es.lam).canonical_vertex()
-    y = np.asarray(y, dtype=float)
-    if y.shape != (es.n,):
-        raise ValueError(f"subgradient vector must have length {es.n}, got {y.shape}")
+    if y is not None:
+        y = np.asarray(y, dtype=float)
+        if y.shape != (es.n,):
+            raise ValueError(f"subgradient vector must have length {es.n}, got {y.shape}")
+    s = theta.subgradients(es.lam)
+    y = s.canonical_vertex() if y is None else y
     v = block_sort_permutation(y, es)
-    theta.check_subgradient(es.lam, v)
-    mat = SymMatrix((es.u * y) @ es.u.T)
-    return SubgradientTriple(y=y, v=v, matrix=mat, es=es)
+    theta._checked(s, v)
+    return SubgradientTriple(y=y, v=v, es=es)
 
 
 def spectral_subderivative(theta: SymmetricFunction, x, h) -> float:
@@ -171,9 +183,9 @@ def subderivative_gap(
     return dg - pairing
 
 
-def _in_critical_cone(theta: SymmetricFunction, triple: SubgradientTriple, rot: _Rotated) -> bool:
-    """Both halves of the structural cone test, for a checked subgradient."""
-    if not theta._in_cone(rot.es.lam, triple.v, rot.dd):
+def _in_critical_cone(s: SubgradientSet, triple: SubgradientTriple, rot: _Rotated) -> bool:
+    """Both halves of the structural cone test, for v checked against s."""
+    if not _in_cone(s, triple.v, rot.dd)[1]:
         return False
     return bool(np.all(rot.fan_gaps(triple.y) <= FAN_TOL))
 
@@ -219,8 +231,8 @@ def critical_cone_member(
     of h.  The conjunction is equivalent to dg(X)(H) = <Y, H> because both
     residuals are nonnegative."""
     es = _as_eigensystem(x, triple)
-    theta.check_subgradient(es.lam, triple.v)
-    return _in_critical_cone(theta, triple, _rotate_squared(es, h))
+    s = theta.check_subgradient(es.lam, triple.v)
+    return _in_critical_cone(s, triple, _rotate_squared(es, h))
 
 
 @dataclass(frozen=True, slots=True)
@@ -297,10 +309,9 @@ def spectral_second_subderivative(
     hm = as_sym_array(h)
     rot = _rotate_squared(es, hm)
     dd = rot.dd
-    dg = theta.subderivative(es.lam, dd)
+    dg, theta_d2 = theta._second_order(es.lam, triple.v, dd)  # checks v
     pairing = float(triple.y @ np.diag(rot.ht))
     gaps = rot.fan_gaps(triple.y)
-    theta_d2 = theta.second_subderivative(es.lam, triple.v, dd)  # checks v
     in_cone = theta_d2.is_finite and bool(np.all(gaps <= FAN_TOL))
     corr = 2.0 * float(triple.y @ rot.coupling())
     d2 = theta_d2 + corr if in_cone else POS_INF
@@ -318,7 +329,7 @@ def spectral_second_subderivative(
         n=es.n,
         direction=hm,
         spectrum=es.lam.copy(),
-        block_bounds=np.array([b.start for b in es.blocks] + [es.n]),
+        block_bounds=es.bounds,
         ambiguous_clustering=es.ambiguous,
         y=triple.y.copy(),
         value=theta.value(es.lam),
@@ -352,13 +363,13 @@ def leading_eig_second_subderivative(x, i: int, triple: SubgradientTriple, h) ->
         )
     m = i - 1
     theta = OrderStat(rank=es.blocks[m].start + 1)
-    theta.check_subgradient(es.lam, triple.v)
+    s = theta.check_subgradient(es.lam, triple.v)
     if np.any(np.abs(np.delete(triple.y, es.blocks[m])) > 1e-12):
         raise UnsupportedPointError(
             f"subgradient weights must be supported on cluster {i}"
         )
     rot = _rotate_squared(es, h)
-    if not _in_critical_cone(theta, triple, rot):
+    if not _in_critical_cone(s, triple, rot):
         return POS_INF
     return ExtReal(2.0 * float(triple.y @ (rot.ht**2 @ rot.inv_gap[es.blocks[m].start])))
 

@@ -203,6 +203,14 @@ class SubgradientSet:
         return self.vertices[np.argmax(self.active)]
 
 
+def _in_cone(s: SubgradientSet, y: np.ndarray, w: np.ndarray) -> tuple[float, bool]:
+    """The one penalty cone test, for a y checked against the subdifferential
+    s: dtheta(x)(w), the support of s at w, and whether it equals <y, w> to
+    within 1e-8 * (1 + ||w||)."""
+    dg = s.support(w)
+    return dg, bool(abs(dg - float(y @ w)) <= CONE_RTOL * (1.0 + float(np.linalg.norm(w))))
+
+
 @dataclass(frozen=True)
 class GqfCertificate:
     """Whether a polyhedral second subderivative is a generalized quadratic
@@ -256,12 +264,14 @@ class SymmetricFunction:
     def second_subderivative(self, x, y, w) -> ExtReal:
         """d2theta(x|y)(w): ``_curvature`` on the critical cone, +inf off it.
         y must be a subgradient at x (InvalidSubgradientError otherwise)."""
-        x, y, w = _vecs(x, y, w)
-        self.check_subgradient(x, y)
+        return self._second_order(*_vecs(x, y, w))[1]
+
+    def _second_order(self, x, y, w) -> tuple[float, ExtReal]:
+        """(dtheta(x)(w), d2theta(x|y)(w)) on vectors, off one subdifferential."""
+        s = self.check_subgradient(x, y)
         curv = self._curvature(x, w)
-        if not self._in_cone(x, y, w):
-            return POS_INF
-        return ExtReal(curv)
+        dg, critical = _in_cone(s, y, w)
+        return dg, ExtReal(curv) if critical else POS_INF
 
     def prox(self, gamma: float, x) -> ProxResult:
         """For polyhedral penalties: the brute-force ``numeric_prox``."""
@@ -285,25 +295,24 @@ class SymmetricFunction:
         self.gradient(x)
         return np.zeros(_vec(x).size)
 
-    def check_subgradient(self, x, y, tol: float = SUBGRADIENT_TOL) -> None:
-        if not self.subgradients(x).contains(y, tol):
+    def check_subgradient(self, x, y, tol: float = SUBGRADIENT_TOL) -> SubgradientSet:
+        """The subdifferential at x, once y is checked to lie in it."""
+        return self._checked(self.subgradients(x), y, tol)
+
+    def _checked(self, s: SubgradientSet, y, tol: float = SUBGRADIENT_TOL) -> SubgradientSet:
+        """s, once y is checked to lie in it (InvalidSubgradientError otherwise)."""
+        if not s.contains(y, tol):
             raise InvalidSubgradientError(
                 f"{self.name}: vector is not a subgradient at the given point"
             )
+        return s
 
     def critical_cone_member(self, x, y, w) -> bool:
         """True when the subderivative at w matches <y, w> to within
         1e-8 * (1 + ||w||): the two characterizations of the critical cone
         coincide for these penalties."""
         x, y, w = _vecs(x, y, w)
-        self.check_subgradient(x, y)
-        return self._in_cone(x, y, w)
-
-    def _in_cone(self, x, y, w) -> bool:
-        """critical_cone_member on vectors, for a y already checked: the
-        one penalty cone test."""
-        resid = abs(self.subderivative(x, w) - float(y @ w))
-        return bool(resid <= CONE_RTOL * (1.0 + float(np.linalg.norm(w))))
+        return _in_cone(self.check_subgradient(x, y), y, w)[1]
 
     def gqf_certificate(self, x, y) -> GqfCertificate:
         """For polyhedral penalties: the second subderivative at (x, y) is a
@@ -320,8 +329,7 @@ class SymmetricFunction:
                 f"{self.name} is not polyhedral; no generalized-quadratic certificate"
             )
         x, y = _vecs(x, y)
-        self.check_subgradient(x, y)
-        s = self.subgradients(x)
+        s = self.check_subgradient(x, y)
         if s.active.size == 1:
             return GqfCertificate(True, np.eye(x.size))
         coeffs = (np.cumsum(y) if s.gaps else y)[s.active]

@@ -12,14 +12,15 @@ threads.
 Conventions
 -----------
 Eigenvalues are kept in nonincreasing order.  Cluster ("block") m covers the
-contiguous index range ``blocks[m]`` and has representative value ``mu[m]``;
-indices into eigenvalues and blocks are 0-based throughout.  The
-clustering width is chosen in ``eig`` and nowhere else; the EigenSystem
-records it as ``cluster_tol``.
+contiguous index range ``bounds[m]:bounds[m + 1]`` and has representative
+value ``mu[m]``; indices into eigenvalues and blocks are 0-based
+throughout.  The clustering width is chosen in ``eig`` and nowhere else;
+the EigenSystem records it as ``cluster_tol``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -46,8 +47,8 @@ def as_sym_array(x) -> np.ndarray:
     return a
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+def _frozen(a: np.ndarray, dtype=float) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=dtype)
     a.flags.writeable = False
     return a
 
@@ -64,11 +65,7 @@ class SymMatrix:
     asymmetry: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
-            raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite")
+        a = as_sym_array(self.entries)
         asym = float(np.max(np.abs(a - a.T)))
         object.__setattr__(self, "entries", _frozen((a + a.T) / 2.0))
         object.__setattr__(self, "asymmetry", asym)
@@ -91,9 +88,10 @@ class EigenSystem:
     """Ordered eigendecomposition with eigenvalue clustering.
 
     ``u`` holds orthonormal eigenvectors as columns, ``lam`` the
-    nonincreasing eigenvalues.  ``blocks[m]`` is the contiguous index range
-    of the m-th cluster of numerically equal eigenvalues and ``mu[m]`` its
-    representative value (the cluster mean), strictly decreasing in m.
+    nonincreasing eigenvalues.  ``bounds``, the one representation of the
+    clusters of numerically equal eigenvalues, is an int array: cluster m
+    covers bounds[m]:bounds[m + 1] (``blocks``, ``r`` and ``block_ids`` are
+    read off it) and ``mu[m]`` is its mean, strictly decreasing in m.
     ``ambiguous`` is set when some consecutive eigenvalue gap falls in
     [0.5 * cluster_tol, 2 * cluster_tol], i.e. the clustering was a close
     call at the given tolerance.
@@ -102,7 +100,7 @@ class EigenSystem:
     matrix: SymMatrix
     u: np.ndarray
     lam: np.ndarray
-    blocks: tuple[range, ...]
+    bounds: np.ndarray
     mu: np.ndarray
     cluster_tol: float
     ambiguous: bool = False
@@ -110,6 +108,7 @@ class EigenSystem:
     def __post_init__(self):
         object.__setattr__(self, "u", _frozen(self.u))
         object.__setattr__(self, "lam", _frozen(self.lam))
+        object.__setattr__(self, "bounds", _frozen(self.bounds, np.intp))
         object.__setattr__(self, "mu", _frozen(self.mu))
 
     @property
@@ -118,22 +117,40 @@ class EigenSystem:
 
     @property
     def r(self) -> int:
-        return len(self.blocks)
+        return self.bounds.size - 1
+
+    @property
+    def blocks(self) -> tuple[range, ...]:
+        return tuple(map(range, self.bounds[:-1].tolist(), self.bounds[1:].tolist()))
+
+    @property
+    def tied_blocks(self) -> list[tuple[int, range]]:
+        """(m, blocks[m]) for every cluster of more than one eigenvalue."""
+        b = self.bounds
+        return [(m, range(b[m], b[m + 1])) for m in np.flatnonzero(np.diff(b) > 1).tolist()]
 
     def block_basis(self, m: int) -> np.ndarray:
         """Eigenvector columns spanning the m-th eigenvalue cluster."""
-        return self.u[:, self.blocks[m]]
+        return self.u[:, self.bounds[m] : self.bounds[m + 1]]
 
     @property
     def block_ids(self) -> np.ndarray:
         """Cluster index of every eigenvalue position."""
-        return np.repeat(np.arange(self.r), [len(b) for b in self.blocks])
+        return np.repeat(np.arange(self.r), np.diff(self.bounds))
 
 
 def cluster_means(lam: np.ndarray, bounds) -> np.ndarray:
     """Mean of ``lam`` over each cluster, cluster m covering
     bounds[m:m + 2]."""
     return np.add.reduceat(lam, bounds[:-1]) / np.diff(bounds)
+
+
+@lru_cache(maxsize=8)
+def _singletons(n: int) -> np.ndarray:
+    """0, 1, ..., n: the bounds of n singleton clusters, one frozen array per
+    n that every EigenSystem, and every report kept, at a distinct spectrum
+    shares."""
+    return _frozen(np.arange(n + 1), np.intp)
 
 
 def eig(x, cluster_tol: float | None = None) -> EigenSystem:
@@ -144,7 +161,7 @@ def eig(x, cluster_tol: float | None = None) -> EigenSystem:
     into one cluster.  A gap within a factor of two of the tolerance flags
     the result as ambiguous rather than failing.
     """
-    mat = x if isinstance(x, SymMatrix) else SymMatrix(as_sym_array(x))
+    mat = x if isinstance(x, SymMatrix) else SymMatrix(x)
     try:
         w, v = np.linalg.eigh(mat.entries)
     except np.linalg.LinAlgError as exc:
@@ -159,14 +176,14 @@ def eig(x, cluster_tol: float | None = None) -> EigenSystem:
     u = v[:, ::-1].copy()
     gaps = lam[:-1] - lam[1:]
     ambiguous = bool(np.any((gaps >= 0.5 * cluster_tol) & (gaps <= 2.0 * cluster_tol)))
-    bounds = np.concatenate([[0], np.flatnonzero(gaps > cluster_tol) + 1, [mat.n]]).tolist()
-    mu = cluster_means(lam, bounds)
+    cuts = np.flatnonzero(gaps > cluster_tol) + 1
+    bounds = _singletons(mat.n) if cuts.size == mat.n - 1 else np.concatenate([[0], cuts, [mat.n]])
     return EigenSystem(
         matrix=mat,
         u=u,
         lam=lam,
-        blocks=tuple(range(a, b) for a, b in zip(bounds[:-1], bounds[1:])),
-        mu=mu,
+        bounds=bounds,
+        mu=cluster_means(lam, bounds),
         cluster_tol=cluster_tol,
         ambiguous=ambiguous,
     )
@@ -195,7 +212,7 @@ def block_sort_permutation(y, es: EigenSystem) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != (es.n,):
         raise ValueError(f"expected a vector of length {es.n}, got shape {y.shape}")
-    return y[block_sort_order(y, [b.start for b in es.blocks] + [es.n])]
+    return y[block_sort_order(y, es.bounds)]
 
 
 def block_sort_order(y: np.ndarray, bounds) -> np.ndarray:

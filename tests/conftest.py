@@ -244,7 +244,7 @@ def rotate_within_blocks(rng: np.random.Generator, es: EigenSystem) -> EigenSyst
         matrix=es.matrix,
         u=u,
         lam=es.lam,
-        blocks=es.blocks,
+        bounds=es.bounds,
         mu=es.mu,
         cluster_tol=es.cluster_tol,
         ambiguous=es.ambiguous,

@@ -54,8 +54,11 @@ def test_trace_hooks_resolve_count_and_restore():
     assert calls["symmat.eig"] == d2s + 1
     assert calls["spectral.spectral_subgradient"] == d2s
     assert calls["spectral.spectral_second_subderivative"] == d2s
-    assert calls["symfun.second_subderivative"] == d2s
-    assert calls["symfun.check_subgradient"] == 2 * d2s  # the triple, then d2
+    # d2 reads dg and the penalty d2 off the one subdifferential that
+    # check_subgradient returns; the triple checks the set it took its
+    # vertex from, without a second one
+    assert calls["symfun.second_subderivative"] == 0
+    assert calls["symfun.check_subgradient"] == d2s
     assert calls["symfun.critical_cone_member"] == 0
     assert calls["spectral.spectral_prox"] == 1
     assert calls["symfun.prox"] == 1

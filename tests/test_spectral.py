@@ -2,10 +2,12 @@
 directional analysis, cone membership, and the prox map of the lifted
 penalties, including the closed-form leading-eigenvalue shortcut."""
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
+from specvar import spectral
 from specvar import (
     POS_INF,
     ExtReal,
@@ -22,6 +24,7 @@ from specvar import (
     critical_cone_member,
     curvature_correction,
     eig,
+    eig_dir_derivative,
     fan_block_gaps,
     leading_eig_second_subderivative,
     matrix_with_spectrum,
@@ -413,6 +416,35 @@ def report_bits(rep: SecondOrderReport) -> tuple:
     return tuple(out)
 
 
+def frozen_reports():
+    """Reports at a raw X over seeded instances, with and without a probe:
+    three of each critical family (distinct, tied clusters, an McpSum zero
+    cluster, EigGapMax), three off the cone, and three penalties at one
+    distinct spectrum of size 64 with the canonical subgradient."""
+    rng = key_rng(16, 1)
+    cases = [critical_instance(rng, kind) for kind in CRITICAL_KINDS for _ in range(3)]
+    cases += [noncritical_instance(rng) for _ in range(3)]
+    lam = np.sort(rng.uniform(0.4, 1.8, size=64) * rng.choice([-1.0, 1.0], size=64))[::-1]
+    es = eig(matrix_with_spectrum(rng, lam)[0])
+    for theta in (SmoothSep(coeff=1.5), McpSum(a=2.0, c=1.0), OrderStat(rank=1)):
+        cases.append((theta, es, None, random_symmetric(rng, 64)))
+    for k, (theta, es, y, h) in enumerate(cases):
+        x = np.array(es.matrix.entries)
+        triple = spectral_subgradient(theta, x, y)
+        yield spectral_second_subderivative(theta, x, triple, h)
+        yield spectral_second_subderivative(theta, x, triple, h, QuotientProbe(samples=6, seed=k))
+
+
+def test_reports_are_frozen():
+    # every field of every report to the bit, as recorded before the
+    # embedding was built lazily and the clusters became one bounds array
+    # (numpy 2.4, OpenBLAS 0.3; another LAPACK may move the last bits)
+    bits = repr([report_bits(rep) for rep in frozen_reports()])
+    assert hashlib.sha256(bits.encode()).hexdigest() == (
+        "3c63dd4115c0d2701f74560921fd71ad5aec03bc852eda3e7c323edcf6c3176a"
+    )
+
+
 @pytest.fixture
 def eigh_calls(monkeypatch):
     """A list that grows by one on every np.linalg.eigh call."""
@@ -503,6 +535,91 @@ class TestOneDecomposition:
         want = spectral_second_subderivative(OrderStat(rank=1), eig(other), triple, h)
         assert report_bits(got) == report_bits(want)
         assert got.spectrum.tobytes() != triple.es.lam.tobytes()
+
+
+@pytest.fixture
+def subgradient_calls(monkeypatch):
+    """A list that grows by one on every penalty ``subgradients`` call."""
+    calls = []
+    for cls in (OrderStat, McpSum, EigGapMax, SmoothSep):
+
+        def counted(self, x, _subgradients=cls.subgradients):
+            calls.append(1)
+            return _subgradients(self, x)
+
+        monkeypatch.setattr(cls, "subgradients", counted)
+    return calls
+
+
+class TestOnePerPoint:
+    """The d2 path computes each per-point object once: one penalty
+    subdifferential per call, and the embedding U Diag(y) U^T only when
+    something reads it."""
+
+    @pytest.mark.parametrize("kind", CRITICAL_KINDS)
+    def test_one_subdifferential_per_call(self, kind, subgradient_calls):
+        rng = key_rng(45, CRITICAL_KINDS.index(kind))
+
+        def count(call):
+            before = len(subgradient_calls)
+            out = call()
+            return out, len(subgradient_calls) - before
+
+        for k in range(4):
+            theta, es, y, h = critical_instance(rng, kind)
+            x = np.array(es.matrix.entries)
+            dd = eig_dir_derivative(es, h)
+            for given in (y, None):  # checked weights, then the canonical vertex
+                triple, n = count(lambda: spectral_subgradient(theta, x, given))
+                counts = [n] + [
+                    count(call)[1]
+                    for call in (
+                        lambda: spectral_second_subderivative(theta, x, triple, h),
+                        lambda: critical_cone_member(theta, x, triple, h),
+                        lambda: theta.second_subderivative(es.lam, triple.v, dd),
+                        lambda: theta.critical_cone_member(es.lam, triple.v, dd),
+                    )
+                ]
+                assert counts == [1] * 5, (kind, k, given is None)
+
+    @pytest.mark.parametrize("kind", CRITICAL_KINDS)
+    def test_embedding_is_built_only_when_read(self, kind, monkeypatch):
+        built = []
+
+        class Counted(SymMatrix):
+            def __post_init__(self):
+                built.append(1)
+                super().__post_init__()
+
+        monkeypatch.setattr(spectral, "SymMatrix", Counted)
+        rng = key_rng(46, CRITICAL_KINDS.index(kind))
+        for k in range(4):
+            theta, es, y, h = critical_instance(rng, kind)
+            x = np.array(es.matrix.entries)
+            triple = spectral_subgradient(theta, x, y)
+            spectral_second_subderivative(theta, x, triple, h)
+            critical_cone_member(theta, x, triple, h)
+            assert built == [] and "matrix" not in vars(triple), (kind, k)
+            u = triple.es.u
+            want = SymMatrix(u @ np.diag(triple.y) @ u.T).entries  # the two-GEMM reference
+            assert triple.matrix.entries.tobytes() == want.tobytes()
+            assert triple.matrix is triple.matrix and len(built) == 1
+            built.clear()
+            probed = spectral_subgradient(theta, x, y)
+            spectral_second_subderivative(theta, x, probed, h, QuotientProbe(samples=2))
+            assert len(built) == 1 and probed.matrix.entries.tobytes() == want.tobytes()
+            built.clear()
+
+    def test_hand_built_triples(self):
+        x = np.diag([2.0, 1.0, -0.5])
+        y = np.array([1.0, 0.0, 0.0])
+        mat = SymMatrix(np.diag(y))
+        assert SubgradientTriple(y=y, v=y, matrix=mat).matrix is mat
+        lazy = SubgradientTriple(y=y, v=y, es=eig(x))
+        want = spectral_subgradient(OrderStat(rank=1), x, y).matrix.entries
+        assert lazy.matrix.entries.tobytes() == want.tobytes()
+        with pytest.raises(TypeError):
+            SubgradientTriple(y=y, v=y)
 
 
 class TestHugeDirection:

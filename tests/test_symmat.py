@@ -49,6 +49,45 @@ class TestEig:
         assert np.allclose(es.lam, 1.0)
         assert es.mu[0] == pytest.approx(1.0)
 
+    def test_raw_matrix_is_validated_once(self, monkeypatch):
+        for bad, msg in (
+            (np.zeros((2, 3)), "expected a nonempty square matrix, got shape \\(2, 3\\)"),
+            (np.zeros((0, 0)), "expected a nonempty square matrix"),
+            ([[1.0, np.inf], [0.0, 1.0]], "matrix entries must be finite"),
+        ):
+            with pytest.raises(ValueError, match=msg):
+                eig(bad)
+        calls = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda a: calls.append(1) or isfinite(a))
+        eig([[2.0, 1.0], [1.0, 0.0]])
+        assert len(calls) == 1
+
+    def test_cluster_views_agree_with_bounds(self):
+        # bounds is the one cluster representation; the rest is read off it
+        rng = key_rng(17)
+        sizes = [(1,), (3,), (1, 1, 1), (2, 1), (1, 3, 1, 2), (4, 4), (1,) * 6]
+        for k in range(21):
+            es = eig(clustered_matrix(rng, sizes[k % len(sizes)], gap=0.5))
+            b = es.bounds
+            assert b.dtype == np.intp and not b.flags.writeable
+            assert b[0] == 0 and b[-1] == es.n and np.all(np.diff(b) > 0)
+            assert es.r == b.size - 1 == len(sizes[k % len(sizes)])
+            assert es.blocks == tuple(range(b[m], b[m + 1]) for m in range(es.r))
+            assert es.block_ids.tolist() == [m for m, blk in enumerate(es.blocks) for _ in blk]
+            assert es.tied_blocks == [(m, blk) for m, blk in enumerate(es.blocks) if len(blk) > 1]
+            for m, blk in enumerate(es.blocks):
+                assert np.array_equal(es.block_basis(m), es.u[:, blk])
+                assert np.ptp(es.lam[blk]) <= es.cluster_tol * len(blk)
+
+    def test_distinct_spectra_share_their_bounds(self):
+        # a report keeps es.bounds, so reports kept at distinct spectra of
+        # one size hold one array between them
+        a, b = eig(np.diag([3.0, 2.0, 1.0])), eig(np.diag([5.0, 0.0, -1.0]))
+        assert a.bounds is b.bounds and a.bounds.tolist() == [0, 1, 2, 3]
+        tied = eig(np.diag([1.0, 1.0, 0.0])).bounds
+        assert tied is not a.bounds and tied.tolist() == [0, 2, 3]
+
     def test_two_clusters(self):
         es = eig(np.diag([3.0, 1.0, 1.0]))
         assert [list(b) for b in es.blocks] == [[0], [1, 2]]
