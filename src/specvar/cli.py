@@ -10,8 +10,9 @@ Commands map one-to-one onto library calls:
     VERIFY          run the shipped self-check suite
 
 Reports are JSON documents with every numeric field either finite or the
-string "+inf".  A determinism hash covers the whole document except the
-timestamp, so identical jobs with identical seeds can be diffed by hash.
+string "+inf"; any other non-finite number is an error (exit 2), never a
+bare Infinity or NaN.  A determinism hash covers the whole document except
+the timestamp, so identical jobs with identical seeds can be diffed by hash.
 
 Exit codes: 0 success (and, for VERIFY, no failed checks), 2 parse or
 input-validation error, 3 evaluation-point hypothesis violation (the
@@ -329,6 +330,7 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
             "oracle_gap": report.oracle_gap,
         }
         if args.trace_csv:
+            _finalize(doc)  # an unwritable report raises here, before the trace file
             emit_quotient_trace(
                 lifted(theta),
                 es.matrix.entries,
@@ -375,7 +377,7 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
 def _finalize(doc: dict) -> dict:
     doc = _jsonable(doc)
     hashable = {k: v for k, v in doc.items() if k != "timestamp"}
-    payload = json.dumps(hashable, sort_keys=True, separators=(",", ":"))
+    payload = json.dumps(hashable, sort_keys=True, separators=(",", ":"), allow_nan=False)
     doc["determinism_hash"] = hashlib.sha256(payload.encode("utf-8")).hexdigest()
     return doc
 
@@ -398,6 +400,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_gamma(sys.argv[1:] if argv is None else argv))
     try:
         doc, code = run(args)
+        text = json.dumps(_finalize(doc), indent=2, sort_keys=True, allow_nan=False)
     except (CliInputError, InvalidSubgradientError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -410,8 +413,6 @@ def main(argv=None) -> int:
     except (ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    doc = _finalize(doc)
-    text = json.dumps(doc, indent=2, sort_keys=True)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

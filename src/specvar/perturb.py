@@ -38,29 +38,28 @@ class _Rotated:
         return gaps
 
 
-def _rotate(es: EigenSystem, h) -> _Rotated:
-    hm = as_sym_array(h)
+def _rotate(es: EigenSystem, hm: np.ndarray) -> _Rotated:
+    """The rotation of a direction already validated by ``as_sym_array``."""
     if hm.shape != (es.n, es.n):
         raise ValueError(f"direction must be {es.n}x{es.n}, got {hm.shape}")
     ht = es.u.T @ hm @ es.u
     ht = (ht + ht.T) / 2.0
-    ids = es.block_ids
-    mu = es.mu[ids]
-    inv_gap = np.zeros((es.n, es.n))
-    np.divide(1.0, mu[:, None] - mu[None, :], out=inv_gap, where=ids[:, None] != ids[None, :])
-    dd = np.diag(ht).copy()
+    mu = es.mu[es.block_ids]
+    gap = mu[:, None] - mu[None, :]
+    np.fill_diagonal(gap, np.inf)  # 1 / inf = +0.0 within a cluster
+    dd = ht.diagonal().copy()
     for _, b in es.tied_blocks:
         dd[b] = np.linalg.eigvalsh(ht[np.ix_(b, b)])[::-1]
-    return _Rotated(es, ht, inv_gap, dd)
+        gap[b.start : b.stop, b.start : b.stop] = np.inf
+    return _Rotated(es, ht, 1.0 / gap, dd)
 
 
-def _rotate_squared(es: EigenSystem, h) -> _Rotated:
+def _rotate_squared(es: EigenSystem, hm: np.ndarray) -> _Rotated:
     """``_rotate`` for the second-order terms: Ht^2 and Ht^2 * inv_gap, bounded
     through ||H||_F <= n max|H_ij|.  A direction too large for them to stay
     finite raises ValueError before anything overflows into inf or NaN."""
-    hm = as_sym_array(h)
-    scale = float(np.max(np.abs(hm)))
-    gap = float(np.min(es.mu[:-1] - es.mu[1:])) if es.r > 1 else math.inf
+    scale = float(np.abs(hm).max())
+    gap = float((es.mu[:-1] - es.mu[1:]).min()) if es.r > 1 else math.inf
     bound = es.n * scale  # Python floats overflow to inf without a warning
     if not math.isfinite(bound * bound * (1.0 + 1.0 / gap)):
         raise ValueError(f"direction of scale {scale:.3g} is too large: its squares overflow")
@@ -71,7 +70,7 @@ def eig_dir_derivative(es: EigenSystem, h) -> np.ndarray:
     """First-order movement of all eigenvalues in direction ``h``: the
     (n,) vector whose entries over cluster m are the nonincreasing spectrum
     of the compression U_m^T H U_m."""
-    return _rotate(es, h).dd
+    return _rotate(es, as_sym_array(h)).dd
 
 
 def eig_second_prediction(es: EigenSystem, h, t: float) -> np.ndarray:
@@ -81,7 +80,7 @@ def eig_second_prediction(es: EigenSystem, h, t: float) -> np.ndarray:
     U_m^T (tH) U_m + U_m^T (tH) (mu_m I - X)^+ (tH) U_m, taken in the
     eigenbasis; the residual against the exact eigenvalues decays cubically.
     """
-    rot = _rotate(es, h)
+    rot = _rotate(es, as_sym_array(h))
     t, ht = float(t), rot.ht
     out = es.mu[es.block_ids] + t * np.diag(ht) + t * t * rot.coupling()
     for m, b in es.tied_blocks:

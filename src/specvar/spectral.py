@@ -38,12 +38,13 @@ clusters its perturbed points at the default width.  The clustering width
 is chosen only in ``eig``: a caller who wants another one passes it there.
 A function of X and a triple reuses the triple's EigenSystem for a matrix
 X that ``eig`` would decompose into exactly it (same symmetrized entries,
-default width), so X is decomposed once and bit-identically; a triple built
-by hand carries none.  A direction whose squares overflow is a ValueError.
+default width) and, for an equal penalty, the set v was checked against, so
+X is decomposed and v checked once; a triple built by hand carries neither.
+A direction whose squares overflow is a ValueError.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -56,6 +57,7 @@ from .symmat import (
     FAN_TOL,
     EigenSystem,
     SymMatrix,
+    _frozen,
     as_sym_array,
     block_sort_order,
     block_sort_permutation,
@@ -119,6 +121,10 @@ class SubgradientTriple:
        (y[symmat.block_sort_order(y, bounds)]);
     es: the EigenSystem y is written in (None if built by hand), which the
         (X, triple) functions reuse;
+    checked: (penalty, its subdifferential at es.lam) that v was checked
+        against, reused for an equal penalty at ``es``.  Only
+        ``spectral_subgradient`` sets it, and it freezes v: a triple built
+        by hand or by ``dataclasses.replace`` carries None and is checked;
     matrix: the embedded subgradient U Diag(y) U^T, given by hand or built
         from ``es`` when first read.  With ``es.u`` and ``es.matrix`` that
         is three n x n arrays: keep reports, not triples.
@@ -127,6 +133,7 @@ class SubgradientTriple:
     y: np.ndarray
     v: np.ndarray
     es: EigenSystem | None
+    checked: tuple[SymmetricFunction, SubgradientSet] | None = field(default=None, init=False)
 
     def __init__(self, y, v, matrix: SymMatrix | None = None, es: EigenSystem | None = None):
         if matrix is None and es is None:
@@ -159,9 +166,18 @@ def spectral_subgradient(
             raise ValueError(f"subgradient vector must have length {es.n}, got {y.shape}")
     s = theta.subgradients(es.lam)
     y = s.canonical_vertex() if y is None else y
-    v = block_sort_permutation(y, es)
+    v = _frozen(block_sort_permutation(y, es))
     theta._checked(s, v)
-    return SubgradientTriple(y=y, v=v, es=es)
+    triple = SubgradientTriple(y=y, v=v, es=es)
+    triple.__dict__["checked"] = (theta, s)
+    return triple
+
+
+def _checked_set(theta: SymmetricFunction, es: EigenSystem, triple) -> SubgradientSet:
+    """theta's subdifferential at es.lam with triple.v checked to lie in it."""
+    if triple.checked is not None and es is triple.es and triple.checked[0] == theta:
+        return triple.checked[1]
+    return theta.check_subgradient(es.lam, triple.v)
 
 
 def spectral_subderivative(theta: SymmetricFunction, x, h) -> float:
@@ -202,7 +218,7 @@ def curvature_correction(x, y, h) -> float:
     y = np.asarray(y, dtype=float)
     if y.shape != (es.n,):
         raise ValueError(f"weight vector must have length {es.n}, got {y.shape}")
-    return 2.0 * float(y @ _rotate_squared(es, h).coupling())
+    return 2.0 * float(y @ _rotate_squared(es, as_sym_array(h)).coupling())
 
 
 def fan_block_gaps(x, y, h) -> np.ndarray:
@@ -214,7 +230,7 @@ def fan_block_gaps(x, y, h) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != (es.n,):
         raise ValueError(f"weight vector must have length {es.n}, got {y.shape}")
-    return _rotate(es, h).fan_gaps(y)
+    return _rotate(es, as_sym_array(h)).fan_gaps(y)
 
 
 def critical_cone_member(
@@ -231,8 +247,8 @@ def critical_cone_member(
     of h.  The conjunction is equivalent to dg(X)(H) = <Y, H> because both
     residuals are nonnegative."""
     es = _as_eigensystem(x, triple)
-    s = theta.check_subgradient(es.lam, triple.v)
-    return _in_critical_cone(s, triple, _rotate_squared(es, h))
+    s = _checked_set(theta, es, triple)
+    return _in_critical_cone(s, triple, _rotate_squared(es, as_sym_array(h)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -244,8 +260,9 @@ class SecondOrderReport:
     critical cone for every family, and ``d2`` off the whole critical cone,
     so that a finite d2 always certifies criticality.  Callers may keep
     many reports, so a report holds only what it cannot derive:
-    ``direction`` is the caller's array (not a copy), ``penalty`` the
-    caller's penalty, and the clusters are one bounds array, cluster m
+    ``direction`` is the caller's array (not a copy), ``spectrum`` the
+    EigenSystem's read-only eigenvalues, ``penalty`` the caller's penalty,
+    and the clusters are one bounds array, cluster m
     covering block_bounds[m:m + 2].  ``theta``, ``cluster_values`` and
     ``v`` are computed on access by the functions that produced them
     (``spec_to_json``, ``symmat.cluster_means``, ``symmat.block_sort_order``)."""
@@ -308,15 +325,13 @@ def spectral_second_subderivative(
     es = _as_eigensystem(x, triple)
     hm = as_sym_array(h)
     rot = _rotate_squared(es, hm)
-    dd = rot.dd
-    dg, theta_d2 = theta._second_order(es.lam, triple.v, dd)  # checks v
-    pairing = float(triple.y @ np.diag(rot.ht))
+    dg, theta_d2 = theta._second_order(_checked_set(theta, es, triple), es.lam, triple.v, rot.dd)
+    pairing = float(triple.y @ rot.ht.diagonal())
     gaps = rot.fan_gaps(triple.y)
-    in_cone = theta_d2.is_finite and bool(np.all(gaps <= FAN_TOL))
+    in_cone = theta_d2.is_finite and bool((gaps <= FAN_TOL).all())
     corr = 2.0 * float(triple.y @ rot.coupling())
     d2 = theta_d2 + corr if in_cone else POS_INF
-    oracle_d2 = None
-    oracle_gap = None
+    oracle_d2 = oracle_gap = None
     if probe is not None:
         res = numeric_second_subderivative(
             lifted(theta), es.matrix.entries, triple.matrix.entries, hm, probe
@@ -328,12 +343,12 @@ def spectral_second_subderivative(
         penalty=theta,
         n=es.n,
         direction=hm,
-        spectrum=es.lam.copy(),
+        spectrum=es.lam,
         block_bounds=es.bounds,
         ambiguous_clustering=es.ambiguous,
         y=triple.y.copy(),
         value=theta.value(es.lam),
-        eig_dir=dd.copy(),
+        eig_dir=rot.dd,
         dg=dg,
         pairing=pairing,
         fan_gaps=gaps,
@@ -363,12 +378,12 @@ def leading_eig_second_subderivative(x, i: int, triple: SubgradientTriple, h) ->
         )
     m = i - 1
     theta = OrderStat(rank=es.blocks[m].start + 1)
-    s = theta.check_subgradient(es.lam, triple.v)
+    s = _checked_set(theta, es, triple)
     if np.any(np.abs(np.delete(triple.y, es.blocks[m])) > 1e-12):
         raise UnsupportedPointError(
             f"subgradient weights must be supported on cluster {i}"
         )
-    rot = _rotate_squared(es, h)
+    rot = _rotate_squared(es, as_sym_array(h))
     if not _in_critical_cone(s, triple, rot):
         return POS_INF
     return ExtReal(2.0 * float(triple.y @ (rot.ht**2 @ rot.inv_gap[es.blocks[m].start])))
@@ -386,7 +401,7 @@ def second_semiderivative(theta: SymmetricFunction, x, h) -> float:
     es = _as_eigensystem(x)
     grad = theta.gradient(es.lam)
     hess = theta.hessian_diagonal(es.lam)
-    rot = _rotate_squared(es, h)
+    rot = _rotate_squared(es, as_sym_array(h))
     return float(hess @ (rot.dd**2) + 2.0 * grad @ rot.coupling())
 
 

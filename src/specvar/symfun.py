@@ -264,11 +264,11 @@ class SymmetricFunction:
     def second_subderivative(self, x, y, w) -> ExtReal:
         """d2theta(x|y)(w): ``_curvature`` on the critical cone, +inf off it.
         y must be a subgradient at x (InvalidSubgradientError otherwise)."""
-        return self._second_order(*_vecs(x, y, w))[1]
+        x, y, w = _vecs(x, y, w)
+        return self._second_order(self.check_subgradient(x, y), x, y, w)[1]
 
-    def _second_order(self, x, y, w) -> tuple[float, ExtReal]:
-        """(dtheta(x)(w), d2theta(x|y)(w)) on vectors, off one subdifferential."""
-        s = self.check_subgradient(x, y)
+    def _second_order(self, s: SubgradientSet, x, y, w) -> tuple[float, ExtReal]:
+        """(dtheta(x)(w), d2theta(x|y)(w)) on vectors, y checked against s."""
         curv = self._curvature(x, w)
         dg, critical = _in_cone(s, y, w)
         return dg, ExtReal(curv) if critical else POS_INF

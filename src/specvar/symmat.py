@@ -20,7 +20,7 @@ the EigenSystem records it as ``cluster_tol``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -42,7 +42,7 @@ def as_sym_array(x) -> np.ndarray:
     a = np.asarray(x, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -123,7 +123,7 @@ class EigenSystem:
     def blocks(self) -> tuple[range, ...]:
         return tuple(map(range, self.bounds[:-1].tolist(), self.bounds[1:].tolist()))
 
-    @property
+    @cached_property
     def tied_blocks(self) -> list[tuple[int, range]]:
         """(m, blocks[m]) for every cluster of more than one eigenvalue."""
         b = self.bounds
@@ -168,14 +168,14 @@ def eig(x, cluster_tol: float | None = None) -> EigenSystem:
         raise EigenSolveError(
             f"symmetric eigendecomposition failed for n={mat.n}: {exc}"
         ) from exc
-    norm = float(np.max(np.abs(w)))  # ||X||_2
+    norm = float(np.abs(w).max())  # ||X||_2
     cluster_tol = tie_width(norm) if cluster_tol is None else float(cluster_tol)
     if cluster_tol <= 0.0:
         raise ValueError("cluster_tol must be positive")
     lam = w[::-1].copy()
     u = v[:, ::-1].copy()
     gaps = lam[:-1] - lam[1:]
-    ambiguous = bool(np.any((gaps >= 0.5 * cluster_tol) & (gaps <= 2.0 * cluster_tol)))
+    ambiguous = bool(((gaps >= 0.5 * cluster_tol) & (gaps <= 2.0 * cluster_tol)).any())
     cuts = np.flatnonzero(gaps > cluster_tol) + 1
     bounds = _singletons(mat.n) if cuts.size == mat.n - 1 else np.concatenate([[0], cuts, [mat.n]])
     return EigenSystem(

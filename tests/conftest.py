@@ -233,6 +233,18 @@ def noncritical_instance(rng: np.random.Generator, min_gap: float = 0.15):
     raise AssertionError("failed to sample a usable non-critical instance")
 
 
+def family_eigensystems(rng: np.random.Generator) -> list[EigenSystem]:
+    """EigenSystems of the families above, clustered and distinct: critical
+    and non-critical instances, order-statistic block instances, clustered
+    matrices of several patterns, and distinct spectra up to n = 64."""
+    out = [critical_instance(rng, kind)[1] for kind in CRITICAL_KINDS for _ in range(4)]
+    out += [noncritical_instance(rng)[1] for _ in range(4)]
+    out += [order_stat_block_instance(rng, (2, 3, 1), block)[0] for block in range(3)]
+    sizes = [(3,), (2, 1), (1, 3, 1, 2), (4, 4), (1, 9, 1), (12, 5, 20), (1,) * 6, (1,) * 64]
+    out += [eig(clustered_matrix(rng, pattern, gap=0.5)) for pattern in sizes]
+    return out
+
+
 def rotate_within_blocks(rng: np.random.Generator, es: EigenSystem) -> EigenSystem:
     """Same eigendecomposition with each cluster basis replaced by a
     random rotation of itself (a different valid representative)."""

@@ -54,11 +54,10 @@ def test_trace_hooks_resolve_count_and_restore():
     assert calls["symmat.eig"] == d2s + 1
     assert calls["spectral.spectral_subgradient"] == d2s
     assert calls["spectral.spectral_second_subderivative"] == d2s
-    # d2 reads dg and the penalty d2 off the one subdifferential that
-    # check_subgradient returns; the triple checks the set it took its
-    # vertex from, without a second one
+    # the triple checks the set it took its vertex from and carries it, so
+    # d2 reads dg and the penalty d2 off that set without checking again
     assert calls["symfun.second_subderivative"] == 0
-    assert calls["symfun.check_subgradient"] == d2s
+    assert calls["symfun.check_subgradient"] == 0
     assert calls["symfun.critical_cone_member"] == 0
     assert calls["spectral.spectral_prox"] == 1
     assert calls["symfun.prox"] == 1

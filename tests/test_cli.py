@@ -661,6 +661,25 @@ class TestFuzz:
                 assert "ExtReal" not in proc.stderr and "1e+200" in proc.stderr
                 assert proc.stdout == ""
 
+    @pytest.mark.parametrize("command", ["SSUB", "SEMIDERIV"])
+    def test_non_finite_output_exits_two(self, command, tmp_path, capsys):
+        # a coefficient of 1e300 overflows dg and pairing (SSUB) and the
+        # semiderivative: both printed a bare Infinity, which is not JSON,
+        # with exit 0; now nothing is printed or written, not even the trace
+        x = write_json_matrix(tmp_path / "x.json", [[1.0, 0.0], [0.0, 0.0]])
+        h = write_json_matrix(tmp_path / "h.json", (1e10 * np.eye(2)).tolist())
+        argv = ["--command", command, "--matrix", x, "--direction", h,
+                "--theta", '{"name":"smooth_sep","coeff":1e300}']
+        out_file, trace = tmp_path / "out.json", tmp_path / "trace.csv"
+        for extra in ([], ["--out", str(out_file)], ["--trace-csv", str(trace)]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
+                code = main(argv + extra)
+            out, err = capsys.readouterr()
+            assert code == 2, err
+            assert out == "" and "Out of range float values" in err and "Traceback" not in err
+        assert not out_file.exists() and not trace.exists()
+
     def test_zero_samples_and_fractional_n_exit_two(self, tmp_path, capsys):
         # --probe-samples 0 used to become the default 256, and n = 2.5 was
         # truncated to 2; both ran to exit 0

@@ -9,7 +9,8 @@ from specvar import (
     eig_second_prediction,
     random_symmetric,
 )
-from conftest import clustered_matrix, key_rng, rotate_within_blocks
+from specvar.perturb import _rotate
+from conftest import clustered_matrix, family_eigensystems, key_rng, rotate_within_blocks
 
 
 def sorted_desc(a):
@@ -113,3 +114,20 @@ class TestSecondPrediction:
         slope = np.polyfit(np.log(ts), np.log(res), 1)[0]
         assert 2.7 <= slope <= 3.3
 
+
+def masked_inv_gap(es):
+    """1 / (mu_b(j) - mu_b(k)) off the clusters and 0 within them, by a
+    masked divide: the reference for _rotate's 1 / gap with +inf gaps."""
+    ids = np.repeat(np.arange(es.r), np.diff(es.bounds))
+    mu = es.mu[ids]
+    out = np.zeros((es.n, es.n))
+    np.divide(1.0, mu[:, None] - mu[None, :], out=out, where=ids[:, None] != ids[None, :])
+    return out
+
+
+def test_inv_gap_matches_the_masked_divide():
+    rng = key_rng(28)
+    for es in family_eigensystems(rng):
+        rot = _rotate(es, random_symmetric(rng, es.n))
+        assert rot.inv_gap.tobytes() == masked_inv_gap(es).tobytes(), es.bounds
+        assert not np.signbit(rot.inv_gap[es.block_ids[:, None] == es.block_ids[None, :]]).any()

@@ -7,7 +7,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from specvar import spectral
+from specvar import perturb, spectral, symmat
 from specvar import (
     POS_INF,
     ExtReal,
@@ -553,8 +553,8 @@ def subgradient_calls(monkeypatch):
 
 class TestOnePerPoint:
     """The d2 path computes each per-point object once: one penalty
-    subdifferential per call, and the embedding U Diag(y) U^T only when
-    something reads it."""
+    subdifferential per point, checked once, and the embedding
+    U Diag(y) U^T only when something reads it."""
 
     @pytest.mark.parametrize("kind", CRITICAL_KINDS)
     def test_one_subdifferential_per_call(self, kind, subgradient_calls):
@@ -571,16 +571,21 @@ class TestOnePerPoint:
             dd = eig_dir_derivative(es, h)
             for given in (y, None):  # checked weights, then the canonical vertex
                 triple, n = count(lambda: spectral_subgradient(theta, x, given))
+                # a triple from spectral_subgradient carries the set it was
+                # checked against; a hand-built one is checked again
+                by_hand = SubgradientTriple(y=triple.y, v=triple.v, es=triple.es)
                 counts = [n] + [
                     count(call)[1]
                     for call in (
                         lambda: spectral_second_subderivative(theta, x, triple, h),
                         lambda: critical_cone_member(theta, x, triple, h),
+                        lambda: spectral_second_subderivative(theta, x, by_hand, h),
+                        lambda: critical_cone_member(theta, x, by_hand, h),
                         lambda: theta.second_subderivative(es.lam, triple.v, dd),
                         lambda: theta.critical_cone_member(es.lam, triple.v, dd),
                     )
                 ]
-                assert counts == [1] * 5, (kind, k, given is None)
+                assert counts == [1, 0, 0, 1, 1, 1, 1], (kind, k, given is None)
 
     @pytest.mark.parametrize("kind", CRITICAL_KINDS)
     def test_embedding_is_built_only_when_read(self, kind, monkeypatch):
@@ -609,6 +614,65 @@ class TestOnePerPoint:
             spectral_second_subderivative(theta, x, probed, h, QuotientProbe(samples=2))
             assert len(built) == 1 and probed.matrix.entries.tobytes() == want.tobytes()
             built.clear()
+
+    def test_one_validation_of_the_direction(self, monkeypatch):
+        # each second-order call runs as_sym_array on H once and hands the
+        # array down; three isfinite passes over H per d2 was the old cost
+        seen = []
+        validate = symmat.as_sym_array
+
+        def counted(a):
+            seen.append(a)
+            return validate(a)
+
+        for mod in (symmat, perturb, spectral):
+            monkeypatch.setattr(mod, "as_sym_array", counted)
+        rng = key_rng(47)
+        for kind in CRITICAL_KINDS:
+            theta, es, y, h = critical_instance(rng, kind)
+            x = np.array(es.matrix.entries)
+            triple = spectral_subgradient(theta, x, y)
+            for point in (x, es):
+                for call in (
+                    lambda: spectral_second_subderivative(theta, point, triple, h),
+                    lambda: critical_cone_member(theta, point, triple, h),
+                    lambda: curvature_correction(point, y, h),
+                ):
+                    seen.clear()
+                    call()
+                    assert sum(a is h for a in seen) == 1, (kind, call)
+
+    def test_triple_of_another_penalty_or_point_is_checked(self):
+        # the set a triple carries serves an equal penalty at its own
+        # EigenSystem only; anything else checks v as before
+        x = np.diag([3.0, 2.0, 1.0])
+        h = random_symmetric(key_rng(48), 3)
+        top = spectral_subgradient(OrderStat(rank=1), x)
+        for point in (x, top.es):
+            with pytest.raises(InvalidSubgradientError):
+                spectral_second_subderivative(OrderStat(rank=2), point, top, h)
+            with pytest.raises(InvalidSubgradientError):
+                critical_cone_member(OrderStat(rank=2), point, top, h)
+            with pytest.raises(InvalidSubgradientError):
+                leading_eig_second_subderivative(point, 2, top, h)
+            # an equal penalty, not the same object, reuses the set
+            assert spectral_second_subderivative(OrderStat(rank=1), point, top, h).d2.is_finite
+        # a copy with another v carries no set, and the checked v is read-only
+        moved = dataclasses.replace(top, v=np.array([0.0, 1.0, 0.0]))
+        assert moved.checked is None
+        with pytest.raises(InvalidSubgradientError):
+            spectral_second_subderivative(OrderStat(rank=1), x, moved, h)
+        with pytest.raises(InvalidSubgradientError):
+            critical_cone_member(OrderStat(rank=1), x, moved, h)
+        with pytest.raises(ValueError):
+            top.v[0] = 0.0
+        smooth = spectral_subgradient(SmoothSep(coeff=1.0), x)
+        other = np.diag([3.0, 2.0, 0.5])
+        for point in (other, eig(other)):
+            with pytest.raises(InvalidSubgradientError):
+                spectral_second_subderivative(SmoothSep(coeff=1.0), point, smooth, h)
+            with pytest.raises(InvalidSubgradientError):
+                critical_cone_member(SmoothSep(coeff=1.0), point, smooth, h)
 
     def test_hand_built_triples(self):
         x = np.diag([2.0, 1.0, -0.5])

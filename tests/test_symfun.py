@@ -160,8 +160,9 @@ class TestSubgradients:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10_000))
     def test_unit_vector_hull_membership_matches_lp(self, seed):
-        # the closed-form simplex test against the sup-norm hull LP; below
-        # 1e-6 the LP's own feasibility tolerance blurs the comparison
+        # the closed-form simplex test against the sup-norm hull LP run with
+        # HiGHS feasibility tolerances of 1e-10: at its defaults the LP blurs
+        # residuals near tol = 1e-6 (seeds 6900 and 8675 disagree)
         rng = key_rng(41, seed)
         n = int(rng.integers(2, 6))
         idx = np.sort(rng.choice(n, int(rng.integers(2, n + 1)), replace=False))
@@ -170,7 +171,7 @@ class TestSubgradients:
         y = np.zeros(n)
         y[idx] = rng.dirichlet(np.ones(idx.size))
         y += rng.uniform(-3.0, 3.0, n) * tol * float(rng.choice([0.0, 0.5, 0.9, 1.1, 2.0]))
-        _, resid = _hull_fit(verts, y)
+        _, resid = _hull_fit(verts, y, TIGHT)
         assert SubgradientSet(kind="hull", active=idx, n=n).contains(y, tol) == (resid <= tol)
 
     @settings(max_examples=100, deadline=None)
