@@ -10,9 +10,10 @@ Commands map one-to-one onto library calls:
     VERIFY          run the shipped self-check suite
 
 Reports are JSON documents with every numeric field either finite or the
-string "+inf"; any other non-finite number is an error (exit 2), never a
-bare Infinity or NaN.  A determinism hash covers the whole document except
-the timestamp, so identical jobs with identical seeds can be diffed by hash.
+string "+inf"; any other non-finite number is an error (exit 2) that
+names its output fields, never a bare Infinity or NaN.  A determinism hash
+covers the whole document except the timestamp, so identical jobs with
+identical seeds can be diffed by hash.
 
 Exit codes: 0 success (and, for VERIFY, no failed checks), 2 parse or
 input-validation error, 3 evaluation-point hypothesis violation (the
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import warnings
@@ -374,8 +376,25 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
     return doc, 0
 
 
+def _non_finite(value, path: str) -> list[str]:
+    """The paths (``dg``, ``eig_dir[1]``) of the non-finite floats in a
+    value that ``_jsonable`` returned."""
+    if isinstance(value, float):
+        return [] if math.isfinite(value) else [path]
+    if isinstance(value, dict):
+        return [p for k, v in value.items() for p in _non_finite(v, f"{path}.{k}" if path else k)]
+    if isinstance(value, list):
+        return [p for i, v in enumerate(value) for p in _non_finite(v, f"{path}[{i}]")]
+    return []
+
+
 def _finalize(doc: dict) -> dict:
     doc = _jsonable(doc)
+    bad = _non_finite(doc["outputs"], "")
+    if bad:
+        raise ValueError(
+            f"Out of range float values are not JSON compliant: non-finite outputs {', '.join(bad)}"
+        )
     hashable = {k: v for k, v in doc.items() if k != "timestamp"}
     payload = json.dumps(hashable, sort_keys=True, separators=(",", ":"), allow_nan=False)
     doc["determinism_hash"] = hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -12,6 +12,10 @@ whose lower limit as t -> 0 and w' -> w is the second-order epi-derivative
 style object the formulas compute.  The estimators below approximate that
 lower limit by sampling w' in balls around w that shrink with t, always
 including w itself, and taking minima over the smallest grid levels.
+``numeric_second_subderivative`` evaluates the two smallest levels, which
+its estimate reads, when called, and the leading ones, which only trace
+export and determinism checks read, on the first read of
+``ProbeResult.levels``; until then the result holds f, x, v and w.
 
 Sampling radii shrink strictly faster than t^(1/2): on curved instances a
 radius ~ t^(1/2) injects a downward bias of order t^(1/2), which would
@@ -43,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -182,10 +187,25 @@ class ProbeLevel:
     minimum: ExtReal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class ProbeResult:
+    """The estimate, and one ProbeLevel per grid level in grid order.
+
+    The estimate's two levels come evaluated.  The leading ones are
+    evaluated on the first read of ``levels``, so until then the result
+    holds f, x, v and w, and a NaN or -infinity quotient there raises
+    ValueError on that read, not in ``numeric_second_subderivative``."""
+
     estimate: ExtReal
-    levels: tuple[ProbeLevel, ...]
+
+    def __init__(self, estimate: ExtReal, tail: tuple[ProbeLevel, ...], leading):
+        self.__dict__.update(estimate=estimate, _tail=tail, _leading=leading)
+
+    @cached_property
+    def levels(self) -> tuple[ProbeLevel, ...]:
+        levels = self._leading() + self._tail
+        del self.__dict__["_leading"], self.__dict__["_tail"]  # frees f, x, v and w
+        return levels
 
 
 def diff_quotient2(f, x, v, w, t: float) -> ExtReal:
@@ -214,7 +234,8 @@ def numeric_second_subderivative(
     Per grid level t the candidate set is w itself plus ``probe.samples``
     draws in the ball of radius ``probe.radius * t^(3/2)`` around w; the
     estimate is the minimum over the two smallest levels of the per-level
-    minima.  All levels are recorded for trace export.
+    minima.  Only those two levels are evaluated here; the leading ones
+    are evaluated on the first read of ``levels`` (see ProbeResult).
     """
     x = _as_point(x)
     w = _as_point(w)
@@ -223,16 +244,18 @@ def numeric_second_subderivative(
     if math.isinf(f0):
         raise ValueError("base point must lie in the domain of f")
 
-    levels = []
-    for k, t in enumerate(probe.t_grid):
+    def level(k: int) -> ProbeLevel:
+        t = probe.t_grid[k]
         rad = probe.radius * t ** 1.5
         fv, inner = _level(f, x, w, t, rad, probe.samples, probe.seed, k, v)
         q = _masked((fv - f0 - t * inner) / (t * t / 2.0), fv)
         # argmin keeps the first of equal minima, as a strict < scan does
-        levels.append(ProbeLevel(t=t, at_w=ExtReal(q[0]), minimum=ExtReal(q[np.argmin(q)])))
-    tail = levels[-2:]
+        return ProbeLevel(t=t, at_w=ExtReal(q[0]), minimum=ExtReal(q[np.argmin(q)]))
+
+    split = len(probe.t_grid) - 2
+    tail = (level(split), level(split + 1))
     estimate = min(lv.minimum for lv in tail)
-    return ProbeResult(estimate=estimate, levels=tuple(levels))
+    return ProbeResult(estimate, tail, lambda: tuple(map(level, range(split))))
 
 
 def numeric_subderivative(

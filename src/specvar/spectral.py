@@ -194,9 +194,9 @@ def subderivative_gap(
     the critical cone.  This is the definition-level cone test the
     structural one is equivalent to."""
     es = _as_eigensystem(x, triple)
-    dg = spectral_subderivative(theta, es, h)
-    pairing = float(np.vdot(triple.matrix.entries, as_sym_array(h)))
-    return dg - pairing
+    hm = as_sym_array(h)
+    dg = theta.subderivative(es.lam, _rotate(es, hm).dd)
+    return dg - float(np.vdot(triple.matrix.entries, hm))
 
 
 def _in_critical_cone(s: SubgradientSet, triple: SubgradientTriple, rot: _Rotated) -> bool:

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from specvar import cli
 from specvar.cli import main
 
 FLAGSHIP = [[2.0, 0.0], [0.0, 1.0]]
@@ -679,6 +680,26 @@ class TestFuzz:
             assert code == 2, err
             assert out == "" and "Out of range float values" in err and "Traceback" not in err
         assert not out_file.exists() and not trace.exists()
+
+    @pytest.mark.parametrize(
+        "command, fields", [("SSUB", "dg, pairing"), ("SEMIDERIV", "second_semiderivative")]
+    )
+    def test_non_finite_output_names_its_fields(self, command, fields, tmp_path, capsys):
+        # json's own message named no field, so nothing said what overflowed
+        x = write_json_matrix(tmp_path / "x.json", [[1.0, 0.0], [0.0, 0.0]])
+        h = write_json_matrix(tmp_path / "h.json", (1e10 * np.eye(2)).tolist())
+        argv = ["--command", command, "--matrix", x, "--direction", h,
+                "--theta", '{"name":"smooth_sep","coeff":1e300}']
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2 and err.rstrip().endswith(f"non-finite outputs {fields}"), err
+
+    def test_non_finite_paths_reach_list_entries(self):
+        doc = {"outputs": {"eig_dir": [1.0, float("inf")], "nested": {"a": float("nan")}, "n": 2}}
+        with pytest.raises(ValueError, match=r"eig_dir\[1\], nested\.a$"):
+            cli._finalize(doc)
 
     def test_zero_samples_and_fractional_n_exit_two(self, tmp_path, capsys):
         # --probe-samples 0 used to become the default 256, and n = 2.5 was

@@ -19,9 +19,11 @@ from specvar import (
     numeric_second_subderivative,
     numeric_subderivative,
     lifted,
+    spectral_second_subderivative,
     spectral_subgradient,
 )
 from specvar import oracle
+from specvar import spectral as spectral_module
 from conftest import key_rng
 
 
@@ -301,6 +303,72 @@ class TestFrozenOutputs:
         whole = run()
         monkeypatch.setattr(oracle, "STACK_FLOATS", floats)
         assert run() == whole
+
+
+def counting(f):
+    """f with ``accepts_stack``, counting its stacked calls in ``stacks``
+    and its single-point calls in ``points``."""
+
+    def g(a):
+        if np.ndim(a) == 3:
+            g.stacks += 1
+        else:
+            g.points += 1
+        return f(a)
+
+    g.accepts_stack, g.stacks, g.points = True, 0, 0
+    return g
+
+
+class TestLazyLevels:
+    """The estimate reads the two smallest grid levels only; the leading
+    ones are evaluated when ``levels`` is first read."""
+
+    def test_leading_levels_evaluated_on_first_read(self):
+        theta, x, v, h = lifted_instance()
+        f = counting(lifted(theta))
+        res = numeric_second_subderivative(f, x, v, h, QuotientProbe())
+        assert (f.points, f.stacks) == (1, 2)
+        levels = res.levels
+        assert (f.points, f.stacks) == (1, 3)
+        assert res.levels is levels and f.stacks == 3
+        assert set(vars(res)) == {"estimate", "levels"}  # f, x, v and w let go
+        assert [lv.t for lv in levels] == list(QuotientProbe().t_grid)
+
+    def test_two_level_grid_has_nothing_left_to_evaluate(self):
+        theta, x, v, h = lifted_instance()
+        f = counting(lifted(theta))
+        res = numeric_second_subderivative(f, x, v, h, QuotientProbe(t_grid=(1e-3, 1e-4)))
+        assert f.stacks == 2
+        assert len(res.levels) == 2 and f.stacks == 2
+
+    def test_probed_d2_evaluates_two_levels(self, monkeypatch):
+        seen = []
+
+        def counted_lift(theta):
+            seen.append(counting(lifted(theta)))
+            return seen[-1]
+
+        monkeypatch.setattr(spectral_module, "lifted", counted_lift)
+        theta, x, _, h = lifted_instance()
+        triple = spectral_subgradient(theta, x)
+        report = spectral_second_subderivative(theta, x, triple, h, QuotientProbe(samples=8))
+        assert report.oracle_d2 is not None
+        assert [(f.points, f.stacks) for f in seen] == [(1, 2)]
+
+    def test_non_finite_leading_level_raises_on_read(self):
+        # the estimate never reads t = 1e-2, so a NaN there surfaces only
+        # when the levels are read, for the trace export
+        def f(z):
+            z = np.asarray(z, dtype=float)
+            return math.nan if np.linalg.norm(z) > 5e-3 else float(z @ z)
+
+        x, w = np.zeros(2), np.array([1.0, 0.0])
+        res = numeric_second_subderivative(f, x, x, w, QuotientProbe(samples=4))
+        assert float(res.estimate) == pytest.approx(2.0, abs=1e-3)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="NaN"):
+                res.levels
 
 
 class TestAttainment:

@@ -617,7 +617,8 @@ class TestOnePerPoint:
 
     def test_one_validation_of_the_direction(self, monkeypatch):
         # each second-order call runs as_sym_array on H once and hands the
-        # array down; three isfinite passes over H per d2 was the old cost
+        # array down; three isfinite passes over H per d2 was the old cost,
+        # and two per subderivative_gap
         seen = []
         validate = symmat.as_sym_array
 
@@ -637,6 +638,7 @@ class TestOnePerPoint:
                     lambda: spectral_second_subderivative(theta, point, triple, h),
                     lambda: critical_cone_member(theta, point, triple, h),
                     lambda: curvature_correction(point, y, h),
+                    lambda: subderivative_gap(theta, point, triple, h),
                 ):
                     seen.clear()
                     call()
