@@ -36,8 +36,9 @@ import numpy as np
 from . import __version__
 from .errors import InvalidSubgradientError, UnsupportedPointError
 from .extreal import ExtReal
-from .oracle import QuotientProbe, numeric_second_subderivative
+from .oracle import ProbeResult, QuotientProbe, numeric_second_subderivative
 from .spectral import (
+    _with_oracle,
     critical_cone_member,
     lifted,
     prox_directional_derivative,
@@ -173,17 +174,11 @@ def _jsonable(value):
     return value
 
 
-def emit_quotient_trace(f, x, v, w, probe: QuotientProbe, path: str) -> None:
-    """Write the per-level quotient trace as CSV (t, min_quotient,
-    at_w_quotient); infinite quotients are written as +inf."""
-    res = numeric_second_subderivative(f, x, v, w, probe)
-
-    def cell(e: ExtReal) -> str:
-        return repr(e.value) if e.is_finite else "+inf"
-
+def emit_quotient_trace(res: ProbeResult, path: str) -> None:
+    """Write the per-level quotient trace of a probe as CSV (t,
+    min_quotient, at_w_quotient); infinite quotients are written as +inf."""
     lines = ["t,min_quotient,at_w_quotient"]
-    for lv in res.levels:
-        lines.append(f"{lv.t!r},{cell(lv.minimum)},{cell(lv.at_w)}")
+    lines += [f"{lv.t!r},{lv.minimum.to_json()},{lv.at_w.to_json()}" for lv in res.levels]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -295,15 +290,12 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
     if args.gamma is not None:
         inputs["gamma"] = float(args.gamma)
 
-    probe_grid = _parse_t_grid(args.probe_t_grid) if args.probe_t_grid else None
-    if probe_grid is not None or args.probe_samples is not None:
-        probe = QuotientProbe(
-            t_grid=probe_grid or QuotientProbe().t_grid,
-            samples=QuotientProbe().samples if args.probe_samples is None else args.probe_samples,
-            seed=seed,
-        )
-    else:
-        probe = QuotientProbe(seed=seed)
+    default = QuotientProbe(seed=seed)
+    probe = QuotientProbe(
+        t_grid=_parse_t_grid(args.probe_t_grid) if args.probe_t_grid else default.t_grid,
+        samples=default.samples if args.probe_samples is None else args.probe_samples,
+        seed=seed,
+    )
     inputs["probe"] = {
         "t_grid": list(probe.t_grid),
         "radius": probe.radius,
@@ -315,7 +307,11 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
     if command in ("REPORT", "SSUB"):
         _require(args, ["direction"])
         triple = spectral_subgradient(theta, es, ygiven)
-        report = spectral_second_subderivative(theta, es, triple, direction, probe=probe)
+        report = spectral_second_subderivative(theta, es, triple, direction)
+        probed = numeric_second_subderivative(
+            lifted(theta), es.matrix.entries, triple.matrix.entries, direction, probe
+        )
+        report = _with_oracle(report, probed)
         doc["outputs"] = {
             "value": report.value,
             "y": report.y.tolist(),
@@ -333,14 +329,7 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
         }
         if args.trace_csv:
             _finalize(doc)  # an unwritable report raises here, before the trace file
-            emit_quotient_trace(
-                lifted(theta),
-                es.matrix.entries,
-                triple.matrix.entries,
-                direction,
-                probe,
-                args.trace_csv,
-            )
+            emit_quotient_trace(probed, args.trace_csv)
     elif command == "SUBDERIV":
         _require(args, ["direction"])
         doc["outputs"] = {"dg": spectral_subderivative(theta, es, direction)}

@@ -12,14 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symmat import EigenSystem, as_sym_array, fan_gap
+from .symmat import EigenSystem, as_sym_array
 
 
 @dataclass(frozen=True)
 class _Rotated:
     """A direction H in the eigenbasis of X: ``ht`` = U^T H U, symmetrized;
     ``inv_gap[j, k]`` = 1 / (mu_b(j) - mu_b(k)), 0 within a cluster, so row j
-    is the diagonal of U^T (mu_b(j) I - X)^+ U; ``dd`` = eig_dir_derivative."""
+    is the diagonal of U^T (mu_b(j) I - X)^+ U; ``dd`` = eig_dir_derivative,
+    from ``_rotate``'s one eigvalsh per tied cluster, which the Fan gaps reuse."""
 
     es: EigenSystem
     ht: np.ndarray
@@ -30,11 +31,14 @@ class _Rotated:
         """(U^T H (mu_b(j) I - X)^+ H U)_jj = sum_k Ht_jk^2 inv_gap[j, k]."""
         return np.sum(self.ht**2 * self.inv_gap, axis=1)
 
-    def fan_gaps(self, y: np.ndarray) -> np.ndarray:
-        """Fan gap of Diag(y)_mm against Ht_mm per cluster; 0 for singletons."""
+    def fan_gaps(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Fan gap lambda(Diag(y)_mm) . lambda(Ht_mm) - <Diag(y)_mm, Ht_mm> per cluster,
+        v_m . dd_m - y_m . diag(Ht)_m for v = ``block_sort_permutation(y, es)``;
+        +0.0 for singletons, whose products are never formed."""
         gaps = np.zeros(self.es.r)
         for m, b in self.es.tied_blocks:
-            gaps[m] = fan_gap(np.diag(y[b]), self.ht[np.ix_(b, b)])
+            s = slice(b.start, b.stop)
+            gaps[m] = v[s] @ self.dd[s] - y[s] @ self.ht.diagonal()[s]
         return gaps
 
 

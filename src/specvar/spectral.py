@@ -44,14 +44,14 @@ A direction whose squares overflow is a ValueError.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import UnsupportedPointError
 from .extreal import POS_INF, ExtReal
-from .oracle import QuotientProbe, numeric_second_subderivative
+from .oracle import ProbeResult, QuotientProbe, numeric_second_subderivative
 from .perturb import _rotate, _rotate_squared, _Rotated, eig_dir_derivative
 from .symmat import (
     FAN_TOL,
@@ -199,11 +199,17 @@ def subderivative_gap(
     return dg - float(np.vdot(triple.matrix.entries, hm))
 
 
+def _fan_gaps(rot: _Rotated, triple: SubgradientTriple) -> np.ndarray:
+    """rot's Fan gaps of triple.y, sorted again unless rot is at triple.es."""
+    v = triple.v if rot.es is triple.es else block_sort_permutation(triple.y, rot.es)
+    return rot.fan_gaps(triple.y, v)
+
+
 def _in_critical_cone(s: SubgradientSet, triple: SubgradientTriple, rot: _Rotated) -> bool:
     """Both halves of the structural cone test, for v checked against s."""
     if not _in_cone(s, triple.v, rot.dd)[1]:
         return False
-    return bool(np.all(rot.fan_gaps(triple.y) <= FAN_TOL))
+    return bool(np.all(_fan_gaps(rot, triple) <= FAN_TOL))
 
 
 def curvature_correction(x, y, h) -> float:
@@ -228,9 +234,7 @@ def fan_block_gaps(x, y, h) -> np.ndarray:
     the critical cone condition."""
     es = _as_eigensystem(x)
     y = np.asarray(y, dtype=float)
-    if y.shape != (es.n,):
-        raise ValueError(f"weight vector must have length {es.n}, got {y.shape}")
-    return _rotate(es, as_sym_array(h)).fan_gaps(y)
+    return _rotate(es, as_sym_array(h)).fan_gaps(y, block_sort_permutation(y, es))
 
 
 def critical_cone_member(
@@ -326,20 +330,10 @@ def spectral_second_subderivative(
     hm = as_sym_array(h)
     rot = _rotate_squared(es, hm)
     dg, theta_d2 = theta._second_order(_checked_set(theta, es, triple), es.lam, triple.v, rot.dd)
-    pairing = float(triple.y @ rot.ht.diagonal())
-    gaps = rot.fan_gaps(triple.y)
+    gaps = _fan_gaps(rot, triple)
     in_cone = theta_d2.is_finite and bool((gaps <= FAN_TOL).all())
     corr = 2.0 * float(triple.y @ rot.coupling())
-    d2 = theta_d2 + corr if in_cone else POS_INF
-    oracle_d2 = oracle_gap = None
-    if probe is not None:
-        res = numeric_second_subderivative(
-            lifted(theta), es.matrix.entries, triple.matrix.entries, hm, probe
-        )
-        oracle_d2 = res.estimate
-        if d2.is_finite and oracle_d2.is_finite:
-            oracle_gap = abs(float(d2) - float(oracle_d2))
-    return SecondOrderReport(
+    report = SecondOrderReport(
         penalty=theta,
         n=es.n,
         direction=hm,
@@ -350,15 +344,27 @@ def spectral_second_subderivative(
         value=theta.value(es.lam),
         eig_dir=rot.dd,
         dg=dg,
-        pairing=pairing,
+        pairing=float(triple.y @ rot.ht.diagonal()),
         fan_gaps=gaps,
         in_critical_cone=in_cone,
         theta_d2=theta_d2,
         curvature_correction=corr,
-        d2=d2,
-        oracle_d2=oracle_d2,
-        oracle_gap=oracle_gap,
+        d2=theta_d2 + corr if in_cone else POS_INF,
     )
+    if probe is None:
+        return report
+    res = numeric_second_subderivative(
+        lifted(theta), es.matrix.entries, triple.matrix.entries, hm, probe
+    )
+    return _with_oracle(report, res)
+
+
+def _with_oracle(report: SecondOrderReport, res: ProbeResult) -> SecondOrderReport:
+    """The report with the probe's estimate and, where both are finite, its
+    distance to d2: the one place a report gets its oracle fields."""
+    est, d2 = res.estimate, report.d2
+    gap = abs(float(d2) - float(est)) if d2.is_finite and est.is_finite else None
+    return replace(report, oracle_d2=est, oracle_gap=gap)
 
 
 def leading_eig_second_subderivative(x, i: int, triple: SubgradientTriple, h) -> ExtReal:

@@ -295,13 +295,13 @@ class SymmetricFunction:
         self.gradient(x)
         return np.zeros(_vec(x).size)
 
-    def check_subgradient(self, x, y, tol: float = SUBGRADIENT_TOL) -> SubgradientSet:
+    def check_subgradient(self, x, y) -> SubgradientSet:
         """The subdifferential at x, once y is checked to lie in it."""
-        return self._checked(self.subgradients(x), y, tol)
+        return self._checked(self.subgradients(x), y)
 
-    def _checked(self, s: SubgradientSet, y, tol: float = SUBGRADIENT_TOL) -> SubgradientSet:
+    def _checked(self, s: SubgradientSet, y) -> SubgradientSet:
         """s, once y is checked to lie in it (InvalidSubgradientError otherwise)."""
-        if not s.contains(y, tol):
+        if not s.contains(y):
             raise InvalidSubgradientError(
                 f"{self.name}: vector is not a subgradient at the given point"
             )

@@ -2,8 +2,9 @@
 
 This module provides the shared ground floor for everything else: ordered
 eigendecompositions with clustering of numerically repeated eigenvalues,
-stable blockwise sorts within clusters, the trace/eigenvalue gap behind Fan's
-inequality, and dense shifted pseudoinverses (the tests' reference).
+stable blockwise sorts within clusters, and two dense references for the
+tests: the trace/eigenvalue gap behind Fan's inequality and shifted
+pseudoinverses.
 
 All container types are immutable after construction and every operation is
 a pure function of its inputs, so values can be shared freely across
@@ -225,11 +226,10 @@ def block_sort_order(y: np.ndarray, bounds) -> np.ndarray:
 
 
 def fan_gap(a, b) -> float:
-    """lambda(A) . lambda(B) - <A, B>.
-
-    Nonnegative by Fan's trace inequality; zero exactly when A and B admit a
-    simultaneous ordered spectral decomposition.
-    """
+    """lambda(A) . lambda(B) - <A, B>, nonnegative by Fan's trace inequality
+    and zero exactly when A and B admit a simultaneous ordered spectral
+    decomposition.  The tests' dense reference for the Fan gaps, which the
+    calculus reads off the rotation (perturb._Rotated.fan_gaps)."""
     am = as_sym_array(a)
     bm = as_sym_array(b)
     if am.shape != bm.shape:

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from specvar import cli
+from specvar import cli, spectral
 from specvar.cli import main
 
 FLAGSHIP = [[2.0, 0.0], [0.0, 1.0]]
@@ -114,6 +114,32 @@ class TestSecondOrderCommand:
             assert float(t) > 0
             for cell in (mn, atw):
                 assert cell == "+inf" or np.isfinite(float(cell))
+
+    def test_trace_csv_probes_once(self, flagship_args, tmp_path, capsys, monkeypatch):
+        # the report and the trace read one probe: f(X) once, then one
+        # stacked call per level of the default three-level grid
+        calls = []
+        lift = spectral.lifted
+
+        def counted_lift(theta):
+            f = lift(theta)
+
+            def g(a):
+                calls.append(np.ndim(a))
+                return f(a)
+
+            g.accepts_stack = True
+            return g
+
+        for module in (cli, spectral):
+            monkeypatch.setattr(module, "lifted", counted_lift)
+        trace = tmp_path / "trace.csv"
+        argv = flagship_args[: flagship_args.index("--probe-t-grid")] + ["--trace-csv", str(trace)]
+        code, doc, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert sorted(calls) == [2, 3, 3, 3]
+        rows = [row.split(",") for row in trace.read_text().strip().splitlines()[1:]]
+        assert min(float(mn) for _, mn, _ in rows[-2:]) == doc["outputs"]["oracle_d2"]
 
 
 class TestOtherCommands:

@@ -438,10 +438,12 @@ def frozen_reports():
 def test_reports_are_frozen():
     # every field of every report to the bit, as recorded before the
     # embedding was built lazily and the clusters became one bounds array
-    # (numpy 2.4, OpenBLAS 0.3; another LAPACK may move the last bits)
+    # (numpy 2.4, OpenBLAS 0.3; another LAPACK may move the last bits).
+    # Re-recorded when the Fan gaps came to be read off the rotation: two
+    # reports' fan_gaps moved by at most 5.6e-17, every other field held
     bits = repr([report_bits(rep) for rep in frozen_reports()])
     assert hashlib.sha256(bits.encode()).hexdigest() == (
-        "3c63dd4115c0d2701f74560921fd71ad5aec03bc852eda3e7c323edcf6c3176a"
+        "47336e00537ae8e5351f2d49c1016442d45ad40904737170422b4e1cc7e3472f"
     )
 
 
@@ -535,6 +537,96 @@ class TestOneDecomposition:
         want = spectral_second_subderivative(OrderStat(rank=1), eig(other), triple, h)
         assert report_bits(got) == report_bits(want)
         assert got.spectrum.tobytes() != triple.es.lam.tobytes()
+
+
+def fan_cases():
+    """(theta, es, y, h) over the critical and non-critical families and
+    seeded order-statistic draws with interior weights on a tied cluster.
+    Their directions are aligned, generic, or aligned up to a generic part
+    of size eps; with the weights sorted as the aligned part is, the last
+    leaves Fan gaps of order eps^2 on both sides of FAN_TOL."""
+    rng = key_rng(19)
+    cases = [critical_instance(rng, kind) for kind in CRITICAL_KINDS for _ in range(6)]
+    cases += [noncritical_instance(rng) for _ in range(6)]
+    for k in range(90):
+        sizes = (2,) + tuple(int(s) for s in rng.integers(1, 5, size=int(rng.integers(1, 4))))
+        tied = [m for m, size in enumerate(sizes) if size > 1]
+        es, theta, y = order_stat_block_instance(rng, sizes, tied[int(rng.integers(0, len(tied)))], True)
+        if k % 3 == 0:
+            h = aligned_direction(rng, es)
+        elif k % 3 == 1:
+            h = random_symmetric(rng, es.n)
+        else:
+            b = next(b for b in es.blocks if b.start == theta.rank - 1)
+            y[b] = np.sort(y[b])[::-1]
+            h = aligned_direction(rng, es) + 10.0 ** rng.uniform(-4.0, -2.0) * random_symmetric(rng, es.n)
+        cases.append((theta, es, y, h))
+    return cases
+
+
+class TestFanGaps:
+    """The Fan gaps come from the rotation: v_m . dd_m - y_m . diag(Ht)_m,
+    with dd_m the in-cluster eigenvalues that _rotate already solved for."""
+
+    def test_gaps_match_the_dense_reference(self):
+        tied, near = 0, np.zeros(2, dtype=int)
+        for theta, es, y, h in fan_cases():
+            triple = spectral_subgradient(theta, es, y)
+            rep = spectral_second_subderivative(theta, es, triple, h)
+            ht = es.u.T @ h @ es.u
+            ht = (ht + ht.T) / 2.0
+            want = np.array([symmat.fan_gap(np.diag(triple.y[b]), ht[b, :][:, b]) for b in es.blocks])
+            np.testing.assert_allclose(rep.fan_gaps, want, rtol=0.0, atol=1e-12)
+            assert ((rep.fan_gaps <= symmat.FAN_TOL) == (want <= symmat.FAN_TOL)).all()
+            assert rep.fan_gaps.tobytes() == fan_block_gaps(es, triple.y, h).tobytes()
+            singles = np.diff(es.bounds) == 1
+            assert rep.fan_gaps[singles].tobytes() == np.zeros(singles.sum()).tobytes()
+            tied += int((~singles).sum())
+            near[0] += ((want > 1e-10) & (want <= symmat.FAN_TOL)).sum()
+            near[1] += ((want > symmat.FAN_TOL) & (want < 1e-6)).sum()
+        assert tied >= 150 and near.min() >= 5  # decisions near FAN_TOL, on both sides
+
+    def test_triple_of_another_clustering_sorts_y_again(self):
+        # at the default width the top pair is two clusters, where y needs no
+        # sorting; at 1e-3 it is one cluster, along which y is unsorted
+        rng = key_rng(19, 2)
+        x, _ = matrix_with_spectrum(rng, np.array([0.5, 0.5 - 1e-4, -0.7]))
+        theta = McpSum(a=2.0, c=1.0)
+        triple = spectral_subgradient(theta, x)
+        wide = eig(x, cluster_tol=1e-3)
+        assert wide.r == 2 and triple.y[0] < triple.y[1]
+        for top in ([1.0, 0.0], [0.0, 1.0]):
+            h = wide.u @ np.diag(top + [0.0]) @ wide.u.T
+            ht = wide.u.T @ h @ wide.u
+            want = symmat.fan_gap(np.diag(triple.y[:2]), ht[:2, :2])
+            rep = spectral_second_subderivative(theta, wide, triple, h)
+            assert rep.fan_gaps[0] == pytest.approx(want, abs=1e-12) and want > -1e-12
+            assert critical_cone_member(theta, wide, triple, h) == (want <= symmat.FAN_TOL)
+
+    def test_one_eigvalsh_per_tied_cluster(self, monkeypatch):
+        rng = key_rng(19, 1)
+        es = eig(clustered_matrix(rng, (3, 1, 2, 2, 1)))
+        k = len(es.tied_blocks)
+        assert k == 3
+        theta = OrderStat(rank=1)
+        triple = spectral_subgradient(theta, es)
+        h = random_symmetric(rng, es.n)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        for call in (
+            lambda: spectral_second_subderivative(theta, es, triple, h),
+            lambda: critical_cone_member(theta, es, triple, h),
+            lambda: fan_block_gaps(es, triple.y, h),
+        ):
+            calls.clear()
+            call()
+            assert len(calls) == k
 
 
 @pytest.fixture
