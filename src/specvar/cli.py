@@ -12,8 +12,11 @@ Commands map one-to-one onto library calls:
 Reports are JSON documents with every numeric field either finite or the
 string "+inf"; any other non-finite number is an error (exit 2) that
 names its output fields, never a bare Infinity or NaN.  A determinism hash
-covers the whole document except the timestamp, so identical jobs with
-identical seeds can be diffed by hash.
+covers the whole document except the timestamp and the environment, so
+identical jobs with identical seeds can be diffed by hash.  It is a function
+of the inputs, the seed, the numpy and BLAS build and the BLAS thread count
+(``environment`` records them): from n = 128, U^T H U differs in the last
+bits between one and two OpenBLAS threads, so the same job can hash apart.
 
 Exit codes: 0 success (and, for VERIFY, no failed checks), 2 parse or
 input-validation error, 3 evaluation-point hypothesis violation (the
@@ -183,6 +186,17 @@ def emit_quotient_trace(res: ProbeResult, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _environment() -> dict:
+    """What the determinism hash depends on besides the job, kept out of it."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.26 has no mode="dicts"
+        blas = None
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    return {"numpy": np.__version__, "blas": blas, "threads": {v: os.environ.get(v) for v in names}}
+
+
 def _tolerances() -> dict:
     return {
         "subgradient_membership": SUBGRADIENT_TOL,
@@ -241,6 +255,7 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
         "command": args.command,
         "seed": seed,
         "timestamp": datetime.now(timezone.utc).isoformat(),
+        "environment": _environment(),
         "inputs": {},
         "tolerances": _tolerances(),
     }
@@ -384,7 +399,7 @@ def _finalize(doc: dict) -> dict:
         raise ValueError(
             f"Out of range float values are not JSON compliant: non-finite outputs {', '.join(bad)}"
         )
-    hashable = {k: v for k, v in doc.items() if k != "timestamp"}
+    hashable = {k: v for k, v in doc.items() if k not in ("timestamp", "environment")}
     payload = json.dumps(hashable, sort_keys=True, separators=(",", ":"), allow_nan=False)
     doc["determinism_hash"] = hashlib.sha256(payload.encode("utf-8")).hexdigest()
     return doc

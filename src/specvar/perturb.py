@@ -48,9 +48,9 @@ def _rotate(es: EigenSystem, hm: np.ndarray) -> _Rotated:
         raise ValueError(f"direction must be {es.n}x{es.n}, got {hm.shape}")
     ht = es.u.T @ hm @ es.u
     ht = (ht + ht.T) / 2.0
-    mu = es.mu[es.block_ids]
+    mu = es.position_means
     gap = mu[:, None] - mu[None, :]
-    np.fill_diagonal(gap, np.inf)  # 1 / inf = +0.0 within a cluster
+    gap.flat[:: es.n + 1] = np.inf  # 1 / inf = +0.0 within a cluster
     dd = ht.diagonal().copy()
     for _, b in es.tied_blocks:
         dd[b] = np.linalg.eigvalsh(ht[np.ix_(b, b)])[::-1]
@@ -86,7 +86,7 @@ def eig_second_prediction(es: EigenSystem, h, t: float) -> np.ndarray:
     """
     rot = _rotate(es, as_sym_array(h))
     t, ht = float(t), rot.ht
-    out = es.mu[es.block_ids] + t * np.diag(ht) + t * t * rot.coupling()
+    out = es.position_means + t * np.diag(ht) + t * t * rot.coupling()
     for m, b in es.tied_blocks:
         core = t * ht[np.ix_(b, b)] + t * t * (ht[b, :] * rot.inv_gap[b.start]) @ ht[:, b]
         out[b] = es.mu[m] + np.linalg.eigvalsh(core)[::-1]

@@ -77,12 +77,17 @@ def _as_eigensystem(x, triple: SubgradientTriple | None = None) -> EigenSystem:
     if isinstance(x, EigenSystem):
         return x
     es = getattr(triple, "es", None)
-    if es is not None and es.cluster_tol == tie_width(float(np.max(np.abs(es.lam)))):
-        a = as_sym_array(x)
-        if a is es.matrix.entries or np.array_equal(
-            a if isinstance(x, SymMatrix) else (a + a.T) / 2.0, es.matrix.entries
-        ):
+    if es is not None and es.cluster_tol == tie_width(float(max(es.lam[0], -es.lam[-1]))):
+        e = es.matrix.entries
+        a = x.entries if isinstance(x, SymMatrix) else x
+        # e is finite and symmetric, so an x equal to it is valid and is its
+        # own symmetrization; a SymMatrix is symmetrized already
+        if a is e or np.array_equal(a, e):
             return es
+        if not isinstance(x, SymMatrix):
+            a = as_sym_array(x)
+            if np.array_equal((a + a.T) / 2.0, e):
+                return es
     return eig(x)
 
 

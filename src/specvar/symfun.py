@@ -33,6 +33,7 @@ unequal lengths raise ValueError.
 """
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -167,9 +168,11 @@ class SubgradientSet:
             return bool(
                 np.all(y >= self.lower - tol) and np.all(y <= self.upper + tol)
             )
-        y, v0 = _vecs(y, self.vertices[0])
+        y = _vec(y)
+        if y.size != self.n:
+            raise ValueError(f"vectors of unequal lengths {[y.size, self.n]}")
         if self.active.size == 1:  # a single point
-            return bool(np.max(np.abs(y - v0)) <= tol)
+            return bool(np.max(np.abs(y - self.vertices[0])) <= tol)
         if self.gaps:
             return _gap_hull_meets(y, self.active, tol)
         # conv{e_i : i in S}: y is tol-close to 0 off S and to some
@@ -208,7 +211,7 @@ def _in_cone(s: SubgradientSet, y: np.ndarray, w: np.ndarray) -> tuple[float, bo
     s: dtheta(x)(w), the support of s at w, and whether it equals <y, w> to
     within 1e-8 * (1 + ||w||)."""
     dg = s.support(w)
-    return dg, bool(abs(dg - float(y @ w)) <= CONE_RTOL * (1.0 + float(np.linalg.norm(w))))
+    return dg, bool(abs(dg - float(y @ w)) <= CONE_RTOL * (1.0 + math.sqrt(w.dot(w))))
 
 
 @dataclass(frozen=True)

@@ -128,6 +128,8 @@ class EigenSystem:
     def tied_blocks(self) -> list[tuple[int, range]]:
         """(m, blocks[m]) for every cluster of more than one eigenvalue."""
         b = self.bounds
+        if b.size - 1 == self.n:  # singletons only
+            return []
         return [(m, range(b[m], b[m + 1])) for m in np.flatnonzero(np.diff(b) > 1).tolist()]
 
     def block_basis(self, m: int) -> np.ndarray:
@@ -138,6 +140,11 @@ class EigenSystem:
     def block_ids(self) -> np.ndarray:
         """Cluster index of every eigenvalue position."""
         return np.repeat(np.arange(self.r), np.diff(self.bounds))
+
+    @cached_property
+    def position_means(self) -> np.ndarray:
+        """mu[block_ids], the mean of each eigenvalue's cluster: mu itself at singletons."""
+        return self.mu if self.r == self.n else _frozen(self.mu[self.block_ids])
 
 
 def cluster_means(lam: np.ndarray, bounds) -> np.ndarray:
@@ -169,7 +176,7 @@ def eig(x, cluster_tol: float | None = None) -> EigenSystem:
         raise EigenSolveError(
             f"symmetric eigendecomposition failed for n={mat.n}: {exc}"
         ) from exc
-    norm = float(np.abs(w).max())  # ||X||_2
+    norm = float(max(-w[0], w[-1]))  # ||X||_2, w ascending
     cluster_tol = tie_width(norm) if cluster_tol is None else float(cluster_tol)
     if cluster_tol <= 0.0:
         raise ValueError("cluster_tol must be positive")
@@ -178,13 +185,14 @@ def eig(x, cluster_tol: float | None = None) -> EigenSystem:
     gaps = lam[:-1] - lam[1:]
     ambiguous = bool(((gaps >= 0.5 * cluster_tol) & (gaps <= 2.0 * cluster_tol)).any())
     cuts = np.flatnonzero(gaps > cluster_tol) + 1
-    bounds = _singletons(mat.n) if cuts.size == mat.n - 1 else np.concatenate([[0], cuts, [mat.n]])
+    single = cuts.size == mat.n - 1  # then each cluster mean is its eigenvalue
+    bounds = _singletons(mat.n) if single else np.concatenate([[0], cuts, [mat.n]])
     return EigenSystem(
         matrix=mat,
         u=u,
         lam=lam,
         bounds=bounds,
-        mu=cluster_means(lam, bounds),
+        mu=lam if single else cluster_means(lam, bounds),
         cluster_tol=cluster_tol,
         ambiguous=ambiguous,
     )
@@ -209,11 +217,11 @@ def pinv_shift(es: EigenSystem, m: int) -> SymMatrix:
 def block_sort_permutation(y, es: EigenSystem) -> np.ndarray:
     """Stable blockwise nonincreasing sort of ``y`` along the clusters of
     ``es``: the sorted vector v = y[block_sort_order(y, bounds)].  Ties
-    keep their original relative order."""
+    keep their original relative order.  A new array, also at singletons."""
     y = np.asarray(y, dtype=float)
     if y.shape != (es.n,):
         raise ValueError(f"expected a vector of length {es.n}, got shape {y.shape}")
-    return y[block_sort_order(y, es.bounds)]
+    return y.copy() if es.r == es.n else y[block_sort_order(y, es.bounds)]
 
 
 def block_sort_order(y: np.ndarray, bounds) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Command-line front end: report documents, exit codes, input loading,
 determinism hashing, and the quotient trace."""
+import hashlib
 import json
 import re
 import subprocess
@@ -419,6 +420,19 @@ class TestDeterminism:
         argv = [a.replace("1e-3,1e-4", "1e-2,1e-3") for a in flagship_args]
         _, doc2, _ = run_cli(argv, capsys)
         assert doc1["determinism_hash"] != doc2["determinism_hash"]
+
+    def test_environment_is_recorded_outside_the_hash(self, flagship_args, capsys, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        _, doc, _ = run_cli(flagship_args, capsys)
+        env = doc["environment"]
+        assert env["numpy"] == np.__version__ and isinstance(env["blas"], (str, type(None)))
+        assert env["threads"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert env["threads"]["MKL_NUM_THREADS"] is None and "OMP_NUM_THREADS" in env["threads"]
+        unhashed = ("timestamp", "environment", "determinism_hash")
+        rest = {k: v for k, v in doc.items() if k not in unhashed}
+        payload = json.dumps(rest, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        assert doc["determinism_hash"] == hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def test_out_file_round_trips(self, flagship_args, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -127,7 +127,8 @@ def masked_inv_gap(es):
 
 def test_inv_gap_matches_the_masked_divide():
     rng = key_rng(28)
-    for es in family_eigensystems(rng):
+    tiny = [eig(random_symmetric(key_rng(62, n), n)) for n in (1, 2, 5)]  # distinct, r = n
+    for es in family_eigensystems(rng) + tiny:
         rot = _rotate(es, random_symmetric(rng, es.n))
         assert rot.inv_gap.tobytes() == masked_inv_gap(es).tobytes(), es.bounds
         assert not np.signbit(rot.inv_gap[es.block_ids[:, None] == es.block_ids[None, :]]).any()

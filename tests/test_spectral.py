@@ -526,6 +526,40 @@ class TestOneDecomposition:
             assert got.block_bounds.tolist() == [0, 1, 2, 3]
             assert got.d2.is_finite
 
+    def test_equal_entries_reuse_the_decomposition(self, eigh_calls):
+        # a copy of the entries, a SymMatrix of them, and an asymmetric X
+        # whose symmetrization is them; the quarters keep every sum exact
+        x = np.array([[2.0, 1.0, 0.0], [1.0, 0.0, 0.5], [0.0, 0.5, -1.0]])
+        skew = np.array([[0.0, 0.25, 0.0], [-0.25, 0.0, -0.5], [0.0, 0.5, 0.0]])
+        triple = spectral_subgradient(OrderStat(rank=1), x)
+        es = triple.es
+        assert es.r == es.n
+        copies = (np.array(es.matrix.entries), SymMatrix(x.tolist()), x + skew, (x + skew).tolist())
+        for same in copies:
+            before = len(eigh_calls)
+            assert spectral._as_eigensystem(same, triple) is es
+            assert len(eigh_calls) == before
+        off = np.array(es.matrix.entries)
+        off[0, 1] = off[1, 0] = np.nextafter(off[0, 1], np.inf)
+        for other in (off, SymMatrix(off)):
+            before = len(eigh_calls)
+            assert spectral._as_eigensystem(other, triple) is not es
+            assert len(eigh_calls) == before + 1
+
+    def test_invalid_x_fails_as_eig_does(self):
+        # neither a NaN nor a shape of its own reaches a broadcast error
+        x = np.array([[2.0, 1.0], [1.0, 0.0]])
+        triple = spectral_subgradient(SmoothSep(coeff=1.0), x)
+        nan = x.copy()
+        nan[0, 1] = np.nan
+        for bad in (nan, np.zeros((2, 3)), np.zeros(2), np.zeros((3, 2))):
+            with pytest.raises(ValueError) as want:
+                eig(bad)
+            with pytest.raises(ValueError) as got:
+                spectral._as_eigensystem(bad, triple)
+            assert str(got.value) == str(want.value)
+            assert "broadcast" not in str(got.value)
+
     def test_triple_of_another_matrix_is_not_reused(self):
         rng = key_rng(44)
         x, _ = matrix_with_spectrum(rng, np.array([2.0, 1.0, -0.5]))

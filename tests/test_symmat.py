@@ -12,8 +12,9 @@ from specvar import (
     eig,
     fan_gap,
     pinv_shift,
+    random_symmetric,
 )
-from specvar.symmat import block_sort_order
+from specvar.symmat import block_sort_order, cluster_means, tie_width
 from conftest import clustered_matrix, key_rng
 
 
@@ -133,6 +134,43 @@ class TestEig:
     def test_rejects_bad_cluster_tol(self):
         with pytest.raises(ValueError):
             eig(np.eye(2), cluster_tol=0.0)
+
+
+def shortcut_cases():
+    """Seeded distinct spectra at n = 1, 2, 5, 64, where eig reads every
+    cluster object off lam, and one clustered draw, which keeps the
+    general forms."""
+    rng = key_rng(60)
+    out = [eig(random_symmetric(rng, n)) for n in (1, 2, 5, 64)]
+    assert all(es.r == es.n for es in out)
+    out.append(eig(clustered_matrix(rng, (2, 1, 3), gap=0.5)))
+    return out
+
+
+class TestSingletonShortcuts:
+    """At a spectrum of singleton clusters each cluster object is read off
+    lam; every one is bit-equal to the general form that clustered spectra
+    keep."""
+
+    @pytest.mark.parametrize("es", shortcut_cases(), ids=lambda es: f"n{es.n}-r{es.r}")
+    def test_cluster_objects_match_the_general_forms(self, es):
+        b = es.bounds
+        assert es.mu.tobytes() == cluster_means(es.lam, b).tobytes()
+        tied = [(m, range(b[m], b[m + 1])) for m in range(es.r) if b[m + 1] - b[m] > 1]
+        assert es.tied_blocks == tied
+        assert (es.tied_blocks == []) == (es.r == es.n)
+        assert (es.mu is es.lam) == (es.r == es.n)
+        assert es.position_means.tobytes() == es.mu[es.block_ids].tobytes()
+        assert es.cluster_tol == tie_width(float(np.abs(es.lam).max()))
+
+    @pytest.mark.parametrize("es", shortcut_cases(), ids=lambda es: f"n{es.n}-r{es.r}")
+    def test_block_sort_matches_the_general_form(self, es):
+        rng = key_rng(61, es.n)
+        # continuous weights, and small integers for ties the sort must keep
+        for y in (rng.standard_normal(es.n), rng.integers(-1, 2, es.n).astype(float)):
+            v = block_sort_permutation(y, es)
+            assert v.tobytes() == y[block_sort_order(y, es.bounds)].tobytes()
+            assert not np.shares_memory(v, y)
 
 
 class TestPinvShift:
