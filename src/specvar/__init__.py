@@ -18,8 +18,6 @@ from .symmat import (
     as_sym_array,
     block_sort_permutation,
     eig,
-    fan_gap,
-    pinv_shift,
 )
 from .perturb import eig_dir_derivative, eig_second_prediction
 from .symfun import (
@@ -85,8 +83,6 @@ __all__ = [
     "EigenSystem",
     "as_sym_array",
     "eig",
-    "pinv_shift",
-    "fan_gap",
     "block_sort_permutation",
     "eig_dir_derivative",
     "eig_second_prediction",

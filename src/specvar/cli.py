@@ -41,8 +41,8 @@ from .errors import InvalidSubgradientError, UnsupportedPointError
 from .extreal import ExtReal
 from .oracle import ProbeResult, QuotientProbe, numeric_second_subderivative
 from .spectral import (
+    _cone_tests,
     _with_oracle,
-    critical_cone_member,
     lifted,
     prox_directional_derivative,
     second_semiderivative,
@@ -50,7 +50,6 @@ from .spectral import (
     spectral_second_subderivative,
     spectral_subderivative,
     spectral_subgradient,
-    subderivative_gap,
 )
 from .symfun import (
     CONE_RTOL,
@@ -85,6 +84,7 @@ def _has_bool(data) -> bool:
 class LoadedMatrix:
     raw: list  # row-major entries exactly as parsed, for input echo
     matrix: SymMatrix
+    asymmetry: float  # max |A - A^T| of the parsed entries
 
 
 def _load_matrix(path: str) -> LoadedMatrix:
@@ -134,7 +134,7 @@ def _load_matrix(path: str) -> LoadedMatrix:
             "symmetrizing as (A + A^T)/2",
             file=sys.stderr,
         )
-    return LoadedMatrix(raw=raw, matrix=SymMatrix(entries))
+    return LoadedMatrix(raw=raw, matrix=SymMatrix(entries), asymmetry=asym)
 
 
 def _parse_subgradient(text: str) -> np.ndarray:
@@ -278,7 +278,7 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
     theta = spec_from_json(args.theta)
     inputs["matrix"] = {"n": loaded.matrix.n, "entries": loaded.raw}
     inputs["theta"] = spec_to_json(theta)
-    inputs["asymmetry"] = loaded.matrix.asymmetry
+    inputs["asymmetry"] = loaded.asymmetry
 
     es = eig(loaded.matrix)
     doc["eigen"] = {
@@ -351,10 +351,10 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
     elif command == "CRITCONE":
         _require(args, ["direction"])
         triple = spectral_subgradient(theta, es, ygiven)
-        gap = subderivative_gap(theta, es, triple, direction)
+        member, gap = _cone_tests(theta, es, triple, direction)
         doc["outputs"] = {
             "y": triple.y.tolist(),
-            "in_critical_cone": critical_cone_member(theta, es, triple, direction),
+            "in_critical_cone": member,
             "definitional_gap": gap,
             "definitional_member": bool(abs(gap) <= DEFINITIONAL_CONE_TOL),
         }

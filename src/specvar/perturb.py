@@ -3,11 +3,12 @@
 Everything is read off one rotation of the direction, Ht = U^T H U: the
 first-order movement of the eigenvalues in cluster m is the ordered
 spectrum of Ht_mm, and second-order terms add the divided differences
-1 / (mu_m - mu_s), the eigenbasis entries of (mu_m I - X)^+.
+1 / (mu_m - mu_s), the eigenbasis entries of (mu_m I - X)^+.  ``_rotate``
+takes any finite H: the guard on the squares of Ht has one home, the
+second-order core ``spectral._at``.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,12 +18,13 @@ from .symmat import EigenSystem, as_sym_array
 
 @dataclass(frozen=True)
 class _Rotated:
-    """A direction H in the eigenbasis of X: ``ht`` = U^T H U, symmetrized;
+    """H (``h``, validated) in X's eigenbasis: ``ht`` = U^T H U, symmetrized;
     ``inv_gap[j, k]`` = 1 / (mu_b(j) - mu_b(k)), 0 within a cluster, so row j
     is the diagonal of U^T (mu_b(j) I - X)^+ U; ``dd`` = eig_dir_derivative,
     from ``_rotate``'s one eigvalsh per tied cluster, which the Fan gaps reuse."""
 
     es: EigenSystem
+    h: np.ndarray
     ht: np.ndarray
     inv_gap: np.ndarray
     dd: np.ndarray
@@ -55,19 +57,7 @@ def _rotate(es: EigenSystem, hm: np.ndarray) -> _Rotated:
     for _, b in es.tied_blocks:
         dd[b] = np.linalg.eigvalsh(ht[np.ix_(b, b)])[::-1]
         gap[b.start : b.stop, b.start : b.stop] = np.inf
-    return _Rotated(es, ht, 1.0 / gap, dd)
-
-
-def _rotate_squared(es: EigenSystem, hm: np.ndarray) -> _Rotated:
-    """``_rotate`` for the second-order terms: Ht^2 and Ht^2 * inv_gap, bounded
-    through ||H||_F <= n max|H_ij|.  A direction too large for them to stay
-    finite raises ValueError before anything overflows into inf or NaN."""
-    scale = float(np.abs(hm).max())
-    gap = float((es.mu[:-1] - es.mu[1:]).min()) if es.r > 1 else math.inf
-    bound = es.n * scale  # Python floats overflow to inf without a warning
-    if not math.isfinite(bound * bound * (1.0 + 1.0 / gap)):
-        raise ValueError(f"direction of scale {scale:.3g} is too large: its squares overflow")
-    return _rotate(es, hm)
+    return _Rotated(es, hm, ht, 1.0 / gap, dd)
 
 
 def eig_dir_derivative(es: EigenSystem, h) -> np.ndarray:

@@ -40,7 +40,9 @@ A function of X and a triple reuses the triple's EigenSystem for a matrix
 X that ``eig`` would decompose into exactly it (same symmetrized entries,
 default width) and, for an equal penalty, the set v was checked against, so
 X is decomposed and v checked once; a triple built by hand carries neither.
-A direction whose squares overflow is a ValueError.
+Second-order entry points read one core: ``_at`` rotates H once and holds
+the one squares guard (an H whose squares overflow is a ValueError), and
+``_cone`` checks v and decides both halves of the critical cone.
 """
 from __future__ import annotations
 
@@ -52,7 +54,7 @@ import numpy as np
 from .errors import UnsupportedPointError
 from .extreal import POS_INF, ExtReal
 from .oracle import ProbeResult, QuotientProbe, numeric_second_subderivative
-from .perturb import _rotate, _rotate_squared, _Rotated, eig_dir_derivative
+from .perturb import _rotate, _Rotated, eig_dir_derivative
 from .symmat import (
     FAN_TOL,
     EigenSystem,
@@ -85,8 +87,8 @@ def _as_eigensystem(x, triple: SubgradientTriple | None = None) -> EigenSystem:
         if a is e or np.array_equal(a, e):
             return es
         if not isinstance(x, SymMatrix):
-            a = as_sym_array(x)
-            if np.array_equal((a + a.T) / 2.0, e):
+            x = SymMatrix(x)  # validated and symmetrized once, for eig too
+            if np.array_equal(x.entries, e):
                 return es
     return eig(x)
 
@@ -178,13 +180,6 @@ def spectral_subgradient(
     return triple
 
 
-def _checked_set(theta: SymmetricFunction, es: EigenSystem, triple) -> SubgradientSet:
-    """theta's subdifferential at es.lam with triple.v checked to lie in it."""
-    if triple.checked is not None and es is triple.es and triple.checked[0] == theta:
-        return triple.checked[1]
-    return theta.check_subgradient(es.lam, triple.v)
-
-
 def spectral_subderivative(theta: SymmetricFunction, x, h) -> float:
     """Directional derivative of the lift: the penalty subderivative along
     the eigenvalue directional derivative."""
@@ -204,17 +199,41 @@ def subderivative_gap(
     return dg - float(np.vdot(triple.matrix.entries, hm))
 
 
-def _fan_gaps(rot: _Rotated, triple: SubgradientTriple) -> np.ndarray:
-    """rot's Fan gaps of triple.y, sorted again unless rot is at triple.es."""
-    v = triple.v if rot.es is triple.es else block_sort_permutation(triple.y, rot.es)
-    return rot.fan_gaps(triple.y, v)
+def _at(x, h, triple: SubgradientTriple | None = None) -> _Rotated:
+    """The core's one rotation of H, validated once, at X as resolved by
+    ``_as_eigensystem``; through ||H||_F <= n max|H_ij|, an H whose
+    Ht^2 * inv_gap could overflow raises ValueError before it does."""
+    es = _as_eigensystem(x, triple)
+    hm = as_sym_array(h)
+    scale = float(np.abs(hm).max())
+    gap = float((es.mu[:-1] - es.mu[1:]).min()) if es.r > 1 else np.inf
+    bound = es.n * scale  # Python floats overflow to inf without a warning
+    if not np.isfinite(bound * bound * (1.0 + 1.0 / gap)):
+        raise ValueError(f"direction of scale {scale:.3g} is too large: its squares overflow")
+    return _rotate(es, hm)
 
 
-def _in_critical_cone(s: SubgradientSet, triple: SubgradientTriple, rot: _Rotated) -> bool:
-    """Both halves of the structural cone test, for v checked against s."""
-    if not _in_cone(s, triple.v, rot.dd)[1]:
-        return False
-    return bool(np.all(_fan_gaps(rot, triple) <= FAN_TOL))
+def _cone(theta: SymmetricFunction, triple: SubgradientTriple, rot: _Rotated):
+    """The core's cone test at rot, v checked once (reusing triple.checked
+    for an equal penalty at triple.es): dtheta(lam)(dd), whether it equals
+    <v, dd>, and the Fan gaps of y, sorted again unless rot is at triple.es."""
+    es = rot.es
+    if es is triple.es and triple.checked is not None and triple.checked[0] == theta:
+        s = triple.checked[1]
+    else:
+        s = theta.check_subgradient(es.lam, triple.v)
+    dg, critical = _in_cone(s, triple.v, rot.dd)
+    v = triple.v if es is triple.es else block_sort_permutation(triple.y, es)
+    return dg, critical, rot.fan_gaps(triple.y, v)
+
+
+def _cone_tests(theta: SymmetricFunction, x, triple: SubgradientTriple, h) -> tuple[bool, float]:
+    """(critical_cone_member, subderivative_gap) off one rotation, for
+    CRITCONE and VERIFY, which compare the structural and definitional tests."""
+    rot = _at(x, h, triple)
+    gap = theta.subderivative(rot.es.lam, rot.dd) - float(np.vdot(triple.matrix.entries, rot.h))
+    _, critical, gaps = _cone(theta, triple, rot)
+    return critical and bool((gaps <= FAN_TOL).all()), gap
 
 
 def curvature_correction(x, y, h) -> float:
@@ -229,7 +248,7 @@ def curvature_correction(x, y, h) -> float:
     y = np.asarray(y, dtype=float)
     if y.shape != (es.n,):
         raise ValueError(f"weight vector must have length {es.n}, got {y.shape}")
-    return 2.0 * float(y @ _rotate_squared(es, as_sym_array(h)).coupling())
+    return 2.0 * float(y @ _at(es, h).coupling())
 
 
 def fan_block_gaps(x, y, h) -> np.ndarray:
@@ -255,9 +274,8 @@ def critical_cone_member(
     Fan equality (gap at most 1e-8) between Diag(y)_mm and the compression
     of h.  The conjunction is equivalent to dg(X)(H) = <Y, H> because both
     residuals are nonnegative."""
-    es = _as_eigensystem(x, triple)
-    s = _checked_set(theta, es, triple)
-    return _in_critical_cone(s, triple, _rotate_squared(es, as_sym_array(h)))
+    _, critical, gaps = _cone(theta, triple, _at(x, h, triple))
+    return critical and bool((gaps <= FAN_TOL).all())
 
 
 @dataclass(frozen=True, slots=True)
@@ -331,17 +349,17 @@ def spectral_second_subderivative(
     With a probe, the quotient oracle runs against the same data and its
     estimate is attached; the oracle never feeds back into the closed-form
     numbers."""
-    es = _as_eigensystem(x, triple)
-    hm = as_sym_array(h)
-    rot = _rotate_squared(es, hm)
-    dg, theta_d2 = theta._second_order(_checked_set(theta, es, triple), es.lam, triple.v, rot.dd)
-    gaps = _fan_gaps(rot, triple)
+    rot = _at(x, h, triple)
+    es = rot.es
+    dg, critical, gaps = _cone(theta, triple, rot)
+    curv = theta._curvature(es.lam, rot.dd)  # on or off the cone: a cap-boundary McpSum raises
+    theta_d2 = ExtReal(curv) if critical else POS_INF
     in_cone = theta_d2.is_finite and bool((gaps <= FAN_TOL).all())
     corr = 2.0 * float(triple.y @ rot.coupling())
     report = SecondOrderReport(
         penalty=theta,
         n=es.n,
-        direction=hm,
+        direction=rot.h,
         spectrum=es.lam,
         block_bounds=es.bounds,
         ambiguous_clustering=es.ambiguous,
@@ -359,7 +377,7 @@ def spectral_second_subderivative(
     if probe is None:
         return report
     res = numeric_second_subderivative(
-        lifted(theta), es.matrix.entries, triple.matrix.entries, hm, probe
+        lifted(theta), es.matrix.entries, triple.matrix.entries, rot.h, probe
     )
     return _with_oracle(report, res)
 
@@ -387,17 +405,16 @@ def leading_eig_second_subderivative(x, i: int, triple: SubgradientTriple, h) ->
         raise UnsupportedPointError(
             f"cluster index {i} out of range: the spectrum has {es.r} clusters"
         )
-    m = i - 1
-    theta = OrderStat(rank=es.blocks[m].start + 1)
-    s = _checked_set(theta, es, triple)
-    if np.any(np.abs(np.delete(triple.y, es.blocks[m])) > 1e-12):
+    block = es.blocks[i - 1]
+    rot = _at(es, h)
+    _, critical, gaps = _cone(OrderStat(rank=block.start + 1), triple, rot)
+    if np.any(np.abs(np.delete(triple.y, block)) > 1e-12):
         raise UnsupportedPointError(
             f"subgradient weights must be supported on cluster {i}"
         )
-    rot = _rotate_squared(es, as_sym_array(h))
-    if not _in_critical_cone(s, triple, rot):
+    if not (critical and (gaps <= FAN_TOL).all()):
         return POS_INF
-    return ExtReal(2.0 * float(triple.y @ (rot.ht**2 @ rot.inv_gap[es.blocks[m].start])))
+    return ExtReal(2.0 * float(triple.y @ (rot.ht**2 @ rot.inv_gap[block.start])))
 
 
 def second_semiderivative(theta: SymmetricFunction, x, h) -> float:
@@ -412,7 +429,7 @@ def second_semiderivative(theta: SymmetricFunction, x, h) -> float:
     es = _as_eigensystem(x)
     grad = theta.gradient(es.lam)
     hess = theta.hessian_diagonal(es.lam)
-    rot = _rotate_squared(es, as_sym_array(h))
+    rot = _at(es, h)
     return float(hess @ (rot.dd**2) + 2.0 * grad @ rot.coupling())
 
 

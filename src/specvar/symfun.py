@@ -268,13 +268,9 @@ class SymmetricFunction:
         """d2theta(x|y)(w): ``_curvature`` on the critical cone, +inf off it.
         y must be a subgradient at x (InvalidSubgradientError otherwise)."""
         x, y, w = _vecs(x, y, w)
-        return self._second_order(self.check_subgradient(x, y), x, y, w)[1]
-
-    def _second_order(self, s: SubgradientSet, x, y, w) -> tuple[float, ExtReal]:
-        """(dtheta(x)(w), d2theta(x|y)(w)) on vectors, y checked against s."""
+        s = self.check_subgradient(x, y)
         curv = self._curvature(x, w)
-        dg, critical = _in_cone(s, y, w)
-        return dg, ExtReal(curv) if critical else POS_INF
+        return ExtReal(curv) if _in_cone(s, y, w)[1] else POS_INF
 
     def prox(self, gamma: float, x) -> ProxResult:
         """For polyhedral penalties: the brute-force ``numeric_prox``."""

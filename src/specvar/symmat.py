@@ -20,7 +20,7 @@ the EigenSystem records it as ``cluster_tol``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
 
@@ -56,20 +56,17 @@ def _frozen(a: np.ndarray, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SymMatrix:
-    """Dense real symmetric matrix.
-
-    Construction symmetrizes its input via (A + A^T)/2 and records the
-    asymmetry of the raw input so callers can warn on suspicious data.
+    """Dense real symmetric matrix: a frozen copy of an exactly symmetric
+    input (one comparison pass), else A/2 + A^T/2, finite where (A + A^T)/2
+    would overflow.  It never keeps the caller's array.
     """
 
     entries: np.ndarray
-    asymmetry: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         a = as_sym_array(self.entries)
-        asym = float(np.max(np.abs(a - a.T)))
-        object.__setattr__(self, "entries", _frozen((a + a.T) / 2.0))
-        object.__setattr__(self, "asymmetry", asym)
+        sym = a.copy() if np.array_equal(a, a.T) else a / 2.0 + a.T / 2.0
+        object.__setattr__(self, "entries", _frozen(sym))
 
     @property
     def n(self) -> int:

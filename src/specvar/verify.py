@@ -22,7 +22,7 @@ from .oracle import (
 )
 from .rand import gapped_spectrum, matrix_with_spectrum, random_symmetric
 from .spectral import (
-    critical_cone_member,
+    _cone_tests,
     leading_eig_second_subderivative,
     lifted,
     prox_directional_derivative,
@@ -32,7 +32,6 @@ from .spectral import (
     spectral_subderivative,
     spectral_subgradient,
     spectral_value,
-    subderivative_gap,
 )
 from .symfun import EigGapMax, McpSum, OrderStat, SmoothSep, SymmetricFunction
 from .rand import random_orthogonal
@@ -118,8 +117,8 @@ def _check_cone_equivalence(rng) -> CheckResult:
         else:
             core = np.diag(np.array([2.0, -1.0, 0.5, -0.5]) * rng.uniform(0.5, 1.5))
             h = u @ core @ u.T
-        structural = critical_cone_member(theta, x, triple, h)
-        definitional = abs(subderivative_gap(theta, x, triple, h)) <= 1e-7
+        structural, gap = _cone_tests(theta, x, triple, h)
+        definitional = abs(gap) <= 1e-7
         total += 1
         agree += structural == definitional
     return CheckResult(

@@ -396,6 +396,13 @@ class TestInputs:
         assert "asymmetry" in err
         assert doc["inputs"]["asymmetry"] == pytest.approx(1.0)
         assert doc["eigen"]["lambda"] == pytest.approx([0.5, -0.5])
+        x = write_json_matrix(tmp_path / "x.json", [[0.0, 1.0], [1.0, 0.0]])
+        code, doc, err = run_cli(
+            ["--command", "SUBDERIV", "--matrix", x, "--theta", '{"name":"smooth_sep","coeff":1.0}',
+             "--direction", h],
+            capsys,
+        )
+        assert code == 0 and "asymmetry" not in err and doc["inputs"]["asymmetry"] == 0.0
 
     def test_seed_env_fallback(self, flagship_args, capsys, monkeypatch):
         argv = [a for a in flagship_args]

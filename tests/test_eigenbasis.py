@@ -14,11 +14,11 @@ from specvar import (
     eig_second_prediction,
     leading_eig_second_subderivative,
     matrix_with_spectrum,
-    pinv_shift,
     random_symmetric,
     spectral_second_subderivative,
     spectral_subgradient,
 )
+from specvar.symmat import pinv_shift
 from conftest import aligned_direction, key_rng
 
 REL = 1e-10

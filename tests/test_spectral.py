@@ -3,11 +3,12 @@ directional analysis, cone membership, and the prox map of the lifted
 penalties, including the closed-form leading-eigenvalue shortcut."""
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from specvar import perturb, spectral, symmat
+from specvar import cli, perturb, spectral, symmat, verify
 from specvar import (
     POS_INF,
     ExtReal,
@@ -40,7 +41,7 @@ from specvar import (
     subderivative_gap,
 )
 from specvar.spectral import SEMIDERIV_CHECK_RTOL
-from specvar.symfun import spec_to_json
+from specvar.symfun import CONE_RTOL, spec_to_json
 from specvar.symmat import block_sort_order, tie_width
 from conftest import (
     CRITICAL_KINDS,
@@ -836,6 +837,86 @@ class TestHugeDirection:
         # first-order data does not square the direction
         assert spectral_subderivative(theta, x, huge) == 1e200
         assert second_semiderivative(theta, x, 1e100 * np.eye(2)) == 0.0
+
+
+class TestOneCore:
+    """Every second-order entry point reads one core: X resolved, H
+    validated and rotated once, v checked and the cone decided once."""
+
+    def test_one_rotation_per_call(self, monkeypatch, tmp_path, capsys):
+        rotations = []
+        rotate = perturb._rotate
+
+        def counted(es, hm):
+            rotations.append(1)
+            return rotate(es, hm)
+
+        monkeypatch.setattr(perturb, "_rotate", counted)
+        monkeypatch.setattr(spectral, "_rotate", counted)
+
+        def count(call):
+            rotations.clear()
+            call()
+            return len(rotations)
+
+        rng = key_rng(49)
+        x, _ = matrix_with_spectrum(rng, np.array([2.0, 1.0, 1.0, -0.5]))
+        h = random_symmetric(rng, 4)
+        theta = OrderStat(rank=1)
+        triple = spectral_subgradient(theta, x)
+        for point in (x, triple.es):
+            for call in (
+                lambda: spectral_second_subderivative(theta, point, triple, h),
+                lambda: spectral_second_subderivative(theta, point, triple, h, QuotientProbe(samples=2)),
+                lambda: critical_cone_member(theta, point, triple, h),
+                lambda: leading_eig_second_subderivative(point, 1, triple, h),
+                lambda: second_semiderivative(SmoothSep(coeff=1.0), point, h),
+                lambda: curvature_correction(point, triple.y, h),
+                lambda: subderivative_gap(theta, point, triple, h),
+                lambda: fan_block_gaps(point, triple.y, h),
+            ):
+                assert count(call) == 1
+        # CRITCONE and VERIFY read both cone tests off one rotation (2 before)
+        paths = []
+        for name, a in (("x", np.diag([2.0, 2.0, 0.0])), ("h", np.diag([0.2, 1.0, 0.3]))):
+            (tmp_path / f"{name}.json").write_text(json.dumps({"entries": a.tolist()}))
+            paths.append(str(tmp_path / f"{name}.json"))
+        argv = ["--command", "CRITCONE", "--matrix", paths[0], "--direction", paths[1],
+                "--theta", '{"name":"order_stat","i":1}']
+        assert count(lambda: cli.main(argv)) == 1
+        assert json.loads(capsys.readouterr().out)["outputs"]["in_critical_cone"] is True
+        assert count(lambda: verify._check_cone_equivalence(key_rng(50))) == 12  # 12 instances
+
+    def test_pairing_reads_the_raw_weights(self):
+        # y is unsorted along the tied top pair: <Y, H> = y . diag(Ht) = 0.44,
+        # where the sorted v would give 0.76
+        x, h = np.diag([2.0, 2.0, 0.0]), np.diag([1.0, 0.2, 0.3])
+        triple = spectral_subgradient(OrderStat(rank=1), x, [0.3, 0.7, 0.0])
+        rep = spectral_second_subderivative(OrderStat(rank=1), x, triple, h)
+        assert rep.pairing == pytest.approx(float(np.vdot(triple.matrix.entries, h)), abs=1e-15)
+        assert rep.pairing == pytest.approx(0.44, abs=1e-15)
+
+    def test_leading_route_rejects_weights_off_the_cluster(self):
+        # 5e-10 passes membership (tolerance 1e-9) but lies off cluster 1
+        x = np.diag([2.0, 1.0, 0.0])
+        triple = spectral_subgradient(OrderStat(rank=1), x, [1.0, 0.0, 5e-10])
+        with pytest.raises(UnsupportedPointError, match="supported on cluster 1"):
+            leading_eig_second_subderivative(x, 1, triple, np.eye(3))
+
+    @pytest.mark.parametrize("ratio", [0.5, 2.0])
+    def test_directions_on_each_side_of_the_cone_bound(self, ratio):
+        # dd = (eps, 0, 0) leaves the residual max(dd) - <v, dd> = eps / 2
+        # against the bound CONE_RTOL (1 + ||dd||); the Fan gap is 0
+        x, theta = np.diag([1.0, 1.0, 0.0]), OrderStat(rank=1)
+        triple = spectral_subgradient(theta, x, [0.5, 0.5, 0.0])
+        h = np.diag([2.0 * ratio * CONE_RTOL, 0.0, 0.0])
+        dd = eig_dir_derivative(triple.es, h)
+        residual = theta.subderivative(triple.es.lam, dd) - triple.v @ dd
+        assert residual / (CONE_RTOL * (1.0 + np.linalg.norm(dd))) == pytest.approx(ratio, rel=1e-6)
+        inside = ratio < 1.0
+        assert critical_cone_member(theta, x, triple, h) is inside
+        assert theta.critical_cone_member(triple.es.lam, triple.v, dd) is inside
+        assert spectral_second_subderivative(theta, x, triple, h).d2.is_finite is inside
 
 
 def homogeneous_instances():

@@ -10,26 +10,34 @@ from specvar import (
     as_sym_array,
     block_sort_permutation,
     eig,
-    fan_gap,
-    pinv_shift,
     random_symmetric,
 )
-from specvar.symmat import block_sort_order, cluster_means, tie_width
+from specvar.symmat import block_sort_order, cluster_means, fan_gap, pinv_shift, tie_width
 from conftest import clustered_matrix, key_rng
 
 
 class TestSymMatrix:
     def test_accepts_and_freezes_symmetric_input(self):
-        m = SymMatrix(np.array([[1.0, 2.0], [2.0, 3.0]]))
+        a = np.array([[1.0, 2.0], [2.0, 3.0]])
+        m = SymMatrix(a)
         assert m.n == 2
-        assert m.asymmetry == 0.0
+        assert m.entries is not a and m.entries.tobytes() == a.tobytes()
         with pytest.raises(ValueError):
             m.entries[0, 0] = 9.0
+        a[0, 0] = 9.0  # the caller's array is neither frozen nor aliased
+        assert m.entries[0, 0] == 1.0
 
-    def test_symmetrizes_and_records_asymmetry(self):
+    def test_symmetrizes_asymmetric_input(self):
         m = SymMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
         assert np.allclose(m.entries, [[0.0, 0.5], [0.5, 0.0]])
-        assert m.asymmetry == pytest.approx(1.0)
+
+    def test_huge_entries_stay_finite(self, recwarn):
+        # (A + A^T)/2 turned 1e308 into inf, and eigh then returned NaN
+        es = eig(np.diag([1e308, 1.0]))
+        assert es.lam.tolist() == [1e308, 1.0]
+        m = SymMatrix(np.array([[1e308, 1e308], [-1e308, 0.0]]))
+        assert m.entries.tolist() == [[1e308, 0.0], [0.0, 0.0]]
+        assert not recwarn.list
 
     def test_rejects_nonsquare_and_nonfinite(self):
         with pytest.raises(ValueError):
