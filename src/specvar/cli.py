@@ -127,7 +127,12 @@ def _load_matrix(path: str) -> LoadedMatrix:
         raise CliInputError(f"{path}: matrix must be square and nonempty, got {entries.shape}")
     if not np.all(np.isfinite(entries)):
         raise CliInputError(f"{path}: matrix entries must be finite")
-    asym = float(np.max(np.abs(entries - entries.T)))
+    # A - A^T overflows only past the float maximum, where the figure has no
+    # JSON form; SymMatrix still symmetrizes such entries to finite ones
+    with np.errstate(over="ignore"):
+        asym = float(np.max(np.abs(entries - entries.T)))
+    if not math.isfinite(asym):
+        raise CliInputError(f"{path}: asymmetry max|A - A^T| overflows the float range")
     if asym > ASYMMETRY_WARN:
         print(
             f"warning: {path} has asymmetry {asym:.3e} > {ASYMMETRY_WARN:.0e}; "

@@ -447,7 +447,8 @@ def spectral_prox(theta: SymmetricFunction, gamma: float, x) -> SpectralProxResu
     The spectrum prox is re-sorted nonincreasingly before embedding; for a
     symmetric penalty a sorted minimizer always exists at a sorted input,
     so this never increases the proximal objective (it guards against
-    unsorted output from the brute-force fallback)."""
+    unsorted output from the brute-force fallback, which ``OrderStat`` at
+    rank >= 2 and ``EigGapMax`` take).  ``closed_form`` is False there."""
     es = _as_eigensystem(x)
     pr = theta.prox(gamma, es.lam)
     p = np.sort(np.asarray(pr.point, dtype=float))[::-1]

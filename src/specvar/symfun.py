@@ -16,7 +16,8 @@ Rockafellar-Wets, Thm 8.30), and the second subderivative relative to y is
 the family's ``_curvature`` (0 if polyhedral) on the critical cone
 {w : dtheta(x)(w) = <y, w>} and +inf off it, judged by ``_in_cone`` alone.
 Each family also has a proximal mapping (closed form where available,
-brute-force fallback otherwise) and, for the polyhedral families, a
+brute-force fallback otherwise: ``OrderStat`` at rank >= 2 and
+``EigGapMax``) and, for the polyhedral families, a
 certificate of whether the second subderivative is a generalized quadratic
 on a subspace.
 
@@ -77,6 +78,16 @@ def _per_row(v):
     """A value reduced over the last axis: a float for a vector, the (S,)
     array for a stack."""
     return float(v) if v.ndim == 0 else v
+
+
+def _gamma(gamma) -> float:
+    """A prox parameter as a float, with ``numeric_prox``'s checks and messages."""
+    gamma = float(gamma)
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    return gamma
 
 
 def _tie_tol(x: np.ndarray) -> float:
@@ -235,8 +246,8 @@ class SymmetricFunction:
     states ``value``, ``subgradients`` and, unless it is polyhedral,
     ``_curvature``, and the calculus follows here (see the module docstring).
     A subclass with ``polyhedral = True`` (a hull subdifferential) also
-    inherits the gradient, the zero Hessian diagonal and the brute-force
-    prox; any other subclass supplies its own."""
+    inherits the gradient, the zero Hessian diagonal and, unless it states
+    its own, the brute-force prox; any other subclass supplies its own."""
 
     polyhedral: bool = False
     name: str = ""
@@ -380,6 +391,35 @@ class OrderStat(SymmetricFunction):
     def subgradients(self, x) -> SubgradientSet:
         x = _vec(x)
         return SubgradientSet(kind="hull", active=self._active(x), n=x.size)
+
+    def prox(self, gamma: float, x) -> ProxResult:
+        """At rank 1 the exact point min(x, c), whose level c solves
+        sum_i (x_i - c)_+ = gamma: the Moreau form x - gamma P(x / gamma) of
+        the sort-based projection P onto the unit simplex (Duchi et al.,
+        ICML 2008).  With k coordinates above it, c = (S_k - gamma) / k for
+        the sum S_k of the k largest, and k is the last count whose k-th
+        largest coordinate still exceeds its c.  At rank >= 2 the
+        brute-force ``numeric_prox``."""
+        x = _vec(x)
+        if self.rank > 1:
+            return ProxResult(point=numeric_prox(self.value, gamma, x).point, closed_form=False)
+        gamma = _gamma(gamma)
+        if x.size == 0:
+            raise ValueError("rank 1 exceeds dimension 0")
+        xs = np.sort(x)[::-1]
+        top = float(xs[0])
+        # Only coordinates above top - gamma can move (c >= top - gamma), and
+        # their offsets from top lie in (-gamma, 0], so sums of offsets stay
+        # finite at any scale of x.  They stay above -(n + 1) gamma; where
+        # that passes the float maximum they run at a power-of-two scale s.
+        # (top - gamma is a Python float: an overflow gives -inf, no warning.)
+        s = 1.0 if gamma * (x.size + 1) < sys.float_info.max else 0.5**x.size.bit_length()
+        head = (xs[: max(1, int(np.count_nonzero(xs > top - gamma)))] - top) * s
+        level = (np.cumsum(head) - gamma * s) / np.arange(1, head.size + 1)
+        # head[0] = 0 > -gamma s = level[0]: index 0 always qualifies, even
+        # when gamma is below the float spacing of x
+        k = np.flatnonzero(head > level)[-1]
+        return ProxResult(point=np.minimum(x, (top * s + float(level[k])) / s), closed_form=True)
 
 
 @dataclass(frozen=True)
@@ -580,11 +620,7 @@ class SmoothSep(SymmetricFunction):
         return self.coeff * float(w @ w)
 
     def prox(self, gamma: float, x) -> ProxResult:
-        gamma = float(gamma)
-        if not np.isfinite(gamma):
-            raise ValueError(f"gamma must be finite, got {gamma}")
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
+        gamma = _gamma(gamma)
         if 1.0 + gamma * self.coeff <= 0:
             raise ValueError("prox undefined: 1 + gamma * coeff must be positive")
         return ProxResult(point=_vec(x) / (1.0 + gamma * self.coeff), closed_form=True)

@@ -496,6 +496,10 @@ def test_closed_form_commands_leave_scipy_optimize_unimported(tmp_path):
          "--direction", str(tmp_path / f"{d}.json"), "--theta", t]
         for c, m, d, t in jobs
     ] + [["--command", "VERIFY", "--seed", "0"]]
+    # the prox of the largest eigenvalue, with and without its derivative
+    prox = ["--command", "PROX", "--matrix", str(tmp_path / "g.json"),
+            "--theta", order, "--gamma", "0.5"]
+    argvs += [prox, prox + ["--direction", str(tmp_path / "k.json")]]
     code = (
         "import json, sys\n"
         "from specvar.cli import main\n"
@@ -515,6 +519,10 @@ def test_closed_form_commands_leave_scipy_optimize_unimported(tmp_path):
     tied = json.loads((tmp_path / "4.json").read_text())
     assert tied["eigen"]["lambda"] == [4.0, 2.0, 0.0]
     assert tied["outputs"]["y"] == [0.0, 1.0, -1.0]
+    for i in (len(argvs) - 2, len(argvs) - 1):
+        out = json.loads((tmp_path / f"{i}.json").read_text())["outputs"]
+        assert out["closed_form"] is True and out["prox_eigenvalues"] == [3.5, 2.0, 0.0]
+    assert out["directional_converged"] is True
 
 
 @pytest.mark.parametrize(
@@ -549,19 +557,21 @@ def test_non_finite_gamma_exits_two(theta, gamma, tmp_path):
         assert proc.stdout == ""
 
 
+WITHOUT_SCIPY = (
+    "import sys\n"
+    "sys.modules['scipy'] = None\n"
+    "from specvar.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
 def test_polyhedral_prox_without_scipy_exits_two(tmp_path):
     # the numeric prox is the one route into scipy: without it PROX names
     # the missing package instead of ending in a traceback
     x = write_json_matrix(tmp_path / "x.json", FLAGSHIP)
-    code = (
-        "import sys\n"
-        "sys.modules['scipy'] = None\n"
-        "from specvar.cli import main\n"
-        "sys.exit(main(sys.argv[1:]))\n"
-    )
     proc = subprocess.run(
-        [sys.executable, "-c", code, "--command", "PROX", "--matrix", x,
-         "--theta", '{"name":"order_stat","i":1}', "--gamma", "0.5"],
+        [sys.executable, "-c", WITHOUT_SCIPY, "--command", "PROX", "--matrix", x,
+         "--theta", '{"name":"order_stat","i":2}', "--gamma", "0.5"],
         capture_output=True,
         text=True,
         timeout=60,
@@ -570,6 +580,20 @@ def test_polyhedral_prox_without_scipy_exits_two(tmp_path):
     assert "scipy" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_largest_eigenvalue_prox_without_scipy_runs(tmp_path):
+    x = write_json_matrix(tmp_path / "x.json", FLAGSHIP)
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_SCIPY, "--command", "PROX", "--matrix", x,
+         "--theta", '{"name":"order_stat","i":1}', "--gamma", "0.5"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)["outputs"]
+    assert out["closed_form"] is True and out["prox_eigenvalues"] == [1.5, 1.0]
 
 
 # Bad input files, each loaded once as the base matrix and once as the direction.
@@ -708,6 +732,26 @@ class TestFuzz:
             if want == 2:
                 assert "ExtReal" not in proc.stderr and "1e+200" in proc.stderr
                 assert proc.stdout == ""
+
+    @pytest.mark.parametrize("role", ["matrix", "direction"])
+    def test_overflowing_asymmetry_exits_two(self, role, tmp_path):
+        # max|A - A^T| overflowed: numpy warned, then json refused the inf
+        # with no field named, or -W error ended in a traceback
+        rows = {"matrix": FLAGSHIP, "direction": OFFDIAG}
+        rows[role] = [[1e308, 1e308], [-1e308, 0.0]]
+        paths = {k: write_json_matrix(tmp_path / f"{k}.json", v) for k, v in rows.items()}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "specvar.cli",
+             "--command", "SUBDERIV", "--matrix", paths["matrix"],
+             "--direction", paths["direction"], "--theta", '{"name":"order_stat","i":1}'],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "asymmetry" in proc.stderr and paths[role] in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert proc.stdout == ""
 
     @pytest.mark.parametrize("command", ["SSUB", "SEMIDERIV"])
     def test_non_finite_output_exits_two(self, command, tmp_path, capsys):

@@ -4,6 +4,7 @@ penalties, including the closed-form leading-eigenvalue shortcut."""
 import dataclasses
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from specvar import (
     fan_block_gaps,
     leading_eig_second_subderivative,
     matrix_with_spectrum,
+    numeric_prox,
     prox_directional_derivative,
     random_orthogonal,
     random_symmetric,
@@ -1199,10 +1201,42 @@ class TestSpectralProx:
 
     def test_fallback_marker_for_nonseparable_penalty(self):
         x = np.diag([2.0, 1.0])
-        res = spectral_prox(OrderStat(rank=1), 0.7, x)
+        res = spectral_prox(OrderStat(rank=2), 0.7, x)
         assert not res.closed_form
+        base = prox_objective(OrderStat(rank=2), 0.7, x, res.matrix.entries)
+        assert base <= prox_objective(OrderStat(rank=2), 0.7, x, x) + 1e-8
+
+    def test_closed_form_marker_for_largest_eigenvalue(self):
+        x = np.diag([2.0, 1.0])
+        res = spectral_prox(OrderStat(rank=1), 0.7, x)
+        assert res.closed_form
+        assert res.eigenvalues.tolist() == [2.0 - 0.7, 1.0]
         base = prox_objective(OrderStat(rank=1), 0.7, x, res.matrix.entries)
         assert base <= prox_objective(OrderStat(rank=1), 0.7, x, x) + 1e-8
+
+    def test_largest_eigenvalue_never_above_numeric_prox(self):
+        # the spectral prox rebuilt from the numeric prox of the spectrum is
+        # the reference; the closed form may be lower, never higher
+        theta, rng = OrderStat(rank=1), key_rng(63)
+        cases = ((0.5, [1.0, 0.2, -0.5]), (0.8, [1.0, 1.0, 0.3, -0.4]), (0.3, [1.0, 1.0, 1.0, 0.2]))
+        for gamma, lam in cases:
+            x = matrix_with_spectrum(rng, np.array(lam))[0]
+            es = eig(x)
+            got = prox_objective(theta, gamma, x, spectral_prox(theta, gamma, es).matrix.entries)
+            p = np.sort(numeric_prox(theta.value, gamma, es.lam).point)[::-1]
+            want = prox_objective(theta, gamma, x, (es.u * p) @ es.u.T)
+            assert got <= want + 1e-12 * (1.0 + abs(want)), (gamma, lam)
+
+    @pytest.mark.parametrize(
+        "lam", [[8e307, 8e307, 7e307], [1.7e308, 0.0, -1.7e308], [-7e307, -8e307, -8e307]]
+    )
+    def test_largest_eigenvalue_at_extreme_spectra(self, lam):
+        # prefix sums of these spectra overflow unless taken relative to the
+        # top (eig's cluster means overflow at a tied pair beyond 9e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = spectral_prox(OrderStat(rank=1), 0.5, np.diag(lam))
+        assert res.closed_form and np.all(np.isfinite(res.matrix.entries))
 
     def test_gamma_validated(self):
         with pytest.raises(ValueError):
@@ -1265,6 +1299,26 @@ class TestProxDirectional:
         b = prox_directional_derivative(theta, 0.5, eig(x), d)
         assert a.derivative.tobytes() == b.derivative.tobytes()
         assert a.converged == b.converged
+
+    def test_largest_eigenvalue_converges(self):
+        # on top of Powell the quotients drifted past the tolerance; the
+        # closed form is smooth at a point where no eigenvalue meets c
+        rng = key_rng(64)
+        for _ in range(10):
+            x, d = random_symmetric(rng, 4), random_symmetric(rng, 4)
+            out = prox_directional_derivative(OrderStat(rank=1), 0.5, x, d)
+            assert out.converged, out.extrapolants[-1] - out.extrapolants[-2]
+
+    def test_largest_eigenvalue_derivative_where_only_the_top_moves(self):
+        # P(X) = X - gamma u1 u1^T near diag(3, 1, 0), so
+        # P'(X; D) = D - gamma (e1 u1'^T + u1' e1^T), u1'_k = D_k1 / (3 - lam_k)
+        rng = key_rng(65)
+        d = random_symmetric(rng, 3)
+        du = np.array([0.0, d[1, 0] / 2.0, d[2, 0] / 3.0])
+        want = d - 0.5 * (np.outer([1.0, 0.0, 0.0], du) + np.outer(du, [1.0, 0.0, 0.0]))
+        out = prox_directional_derivative(OrderStat(rank=1), 0.5, np.diag([3.0, 1.0, 0.0]), d)
+        assert out.converged
+        np.testing.assert_allclose(out.derivative, want, rtol=0.0, atol=1e-6)
 
     def test_grid_validated(self):
         x = np.eye(2)

@@ -1,6 +1,7 @@
 """The four symmetric penalties: values, subdifferentials, first- and
 second-order directional behavior, prox maps, and cone certificates."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from specvar import (
     SubgradientSet,
     UnsupportedPointError,
     lifted,
+    numeric_prox,
     spec_from_json,
     spec_to_json,
 )
@@ -470,12 +472,18 @@ class TestProx:
         assert r.closed_form
 
     def test_polyhedral_kinds_fall_back_to_search(self):
-        r = OrderStat(rank=1).prox(0.5, [2.0, 0.0])
+        r = OrderStat(rank=2).prox(0.5, [2.0, 0.0])
         assert not r.closed_form
-        # prox of the max function moves the top coordinate down
-        assert r.point[0] < 2.0
-        obj = lambda p: OrderStat(rank=1).value(p) + np.sum((p - [2.0, 0.0]) ** 2)
+        # prox of the second largest (here the min) moves the low coordinate down
+        assert r.point[1] < 0.0
+        obj = lambda p: OrderStat(rank=2).value(p) + np.sum((p - [2.0, 0.0]) ** 2)
         assert obj(r.point) <= obj(np.array([2.0, 0.0])) + 1e-9
+
+    def test_largest_coordinate_is_closed_form(self):
+        r = OrderStat(rank=1).prox(0.5, [2.0, 0.0])
+        assert r.closed_form
+        # prox of the max function moves the top coordinate down
+        assert r.point.tolist() == [1.5, 0.0]
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(-3.0, 3.0), st.floats(0.1, 1.8))
@@ -486,6 +494,114 @@ class TestProx:
         obj = f.phi(grid) + (grid - x) ** 2 / (2.0 * gamma)
         pobj = f.phi(np.array([p]))[0] + (p - x) ** 2 / (2.0 * gamma)
         assert pobj <= float(obj.min()) + 1e-9
+
+
+def prox_objective(theta, gamma, x, z):
+    return theta.value(z) + float((z - x) @ (z - x)) / (2.0 * gamma)
+
+
+class TestLargestProx:
+    """OrderStat(1).prox: z = min(x, c) with sum (x - c)_+ = gamma."""
+
+    def test_never_above_numeric_prox(self):
+        # the closed form may be lower than the best Powell search, never higher
+        theta, rng = OrderStat(rank=1), key_rng(61)
+        lower = 0
+        # Powell takes up to 2 s where several coordinates move, so few draws
+        for _ in range(12):
+            n = int(rng.integers(1, 9))
+            x = rng.standard_normal(n)
+            if n > 1 and rng.random() < 0.4:
+                x[rng.integers(n)] = x.max()  # a tied top
+            gamma = float(10.0 ** rng.uniform(-1.5, 0.5))
+            got = prox_objective(theta, gamma, x, theta.prox(gamma, x).point)
+            want = numeric_prox(theta.value, gamma, x).objective
+            assert got <= want + 1e-12 * (1.0 + abs(want)), (x, gamma)
+            lower += got < want - 1e-12 * (1.0 + abs(want))
+        assert lower > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(vectors(n_max=8, scale=1e3), st.floats(1e-3, 1e3))
+    @example(np.array([1.0, 1.0, 1.0]), 0.6)
+    @example(np.array([-2.0, 5.0, 5.0, 4.9]), 0.3)
+    def test_optimality_conditions(self, x, gamma):
+        # 0 in dmax(z) + (z - x) / gamma: z <= x, the moved mass is gamma,
+        # and every moved coordinate ends at the max of z
+        z = OrderStat(rank=1).prox(gamma, x).point
+        assert np.all(z <= x)
+        moved = z < x
+        assert np.all(z[moved] == z.max())
+        slack = 1e-12 * x.size * (np.abs(x).max() + gamma)
+        assert abs(float(np.sum(x - z)) - gamma) <= slack
+
+    def test_one_and_two_coordinates(self):
+        theta = OrderStat(rank=1)
+        assert theta.prox(0.25, [3.0]).point.tolist() == [2.75]
+        assert theta.prox(0.5, [1.0, 0.2]).point.tolist() == [0.5, 0.2]
+        # both above c = (1 + 0.8 - 0.5) / 2
+        assert theta.prox(0.5, [1.0, 0.8]).point.tolist() == [0.65, 0.65]
+
+    def test_tied_tops_share_the_move(self):
+        z = OrderStat(rank=1).prox(0.5, [2.0, 0.0, 2.0]).point
+        assert z.tolist() == [1.75, 0.0, 1.75]
+
+    def test_permutation_equivariant(self):
+        rng = key_rng(62)
+        for n in (2, 5, 8):
+            x = np.round(rng.standard_normal(n), 1)  # ties among the tops
+            perm = rng.permutation(n)
+            z = OrderStat(rank=1).prox(0.4, x).point
+            assert OrderStat(rank=1).prox(0.4, x[perm]).point.tobytes() == z[perm].tobytes()
+
+    @pytest.mark.parametrize(
+        "x, gamma", [([1.0, 0.5], 1e-20), ([1e20, 0.0], 1.0), ([1e20, 1e20, 3.0], 1.0)]
+    )
+    def test_gamma_below_the_float_spacing(self, x, gamma):
+        # x[0] - gamma rounds to x[0]: no coordinate can move in floats, and
+        # the last index passing the prefix test is still the first
+        assert OrderStat(rank=1).prox(gamma, x).point.tolist() == x
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            [1.7e308, 1.7e308, 1.6e308],
+            [1e308, -1e308, 1.7e308, -1.7e308],
+            [-1.7e308, -1.7e308, -1.6e308],
+        ],
+    )
+    @pytest.mark.parametrize("gamma", [0.5, 1e300, 1e307])
+    def test_extreme_scales_stay_finite(self, x, gamma):
+        # absolute prefix sums of these overflow; sums relative to the top do not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = OrderStat(rank=1).prox(gamma, x).point
+        assert np.all(np.isfinite(z)) and np.all(z <= np.array(x))
+        assert np.sum(np.array(x) - z) <= 2.0 * gamma
+
+    def test_gamma_near_the_float_maximum(self):
+        # the sums fall below -1e308 here; c = (1e308 - 1e308 - 1.7e308) / 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = OrderStat(rank=1).prox(1.7e308, [1e308, -5e307, -5e307]).point
+        np.testing.assert_allclose(z, np.full(3, -1.7e308 / 3.0), rtol=1e-15)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize(
+        "gamma, message",
+        [
+            (math.nan, "gamma must be finite, got nan"),
+            (math.inf, "gamma must be finite, got inf"),
+            (-math.inf, "gamma must be finite, got -inf"),
+            (0.0, "gamma must be positive"),
+            (-1e-3, "gamma must be positive"),
+        ],
+    )
+    def test_gamma_messages_match_numeric_prox(self, rank, gamma, message):
+        with pytest.raises(ValueError) as closed:
+            OrderStat(rank=rank).prox(gamma, [2.0, 0.0])
+        with pytest.raises(ValueError) as numeric:
+            numeric_prox(OrderStat(rank=rank).value, gamma, np.array([2.0, 0.0]))
+        assert str(closed.value) == str(numeric.value) == message
 
 
 class TestGqfCertificate:
