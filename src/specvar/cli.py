@@ -41,6 +41,8 @@ from .errors import InvalidSubgradientError, UnsupportedPointError
 from .extreal import ExtReal
 from .oracle import ProbeResult, QuotientProbe, numeric_second_subderivative
 from .spectral import (
+    DEFINITIONAL_CONE_TOL,
+    FAN_TOL,
     _cone_tests,
     _with_oracle,
     lifted,
@@ -59,11 +61,10 @@ from .symfun import (
     spec_from_json,
     spec_to_json,
 )
-from .symmat import FAN_TOL, SymMatrix, eig
+from .symmat import SymMatrix, eig
 from .verify import all_passed, run_all
 
 ASYMMETRY_WARN = 1e-10
-DEFINITIONAL_CONE_TOL = 1e-7
 
 _COMMANDS = ("REPORT", "SUBDERIV", "SSUB", "PROX", "CRITCONE", "SEMIDERIV", "VERIFY")
 

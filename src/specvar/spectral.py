@@ -40,12 +40,18 @@ A function of X and a triple reuses the triple's EigenSystem for a matrix
 X that ``eig`` would decompose into exactly it (same symmetrized entries,
 default width) and, for an equal penalty, the set v was checked against, so
 X is decomposed and v checked once; a triple built by hand carries neither.
-Second-order entry points read one core: ``_at`` rotates H once and holds
-the one squares guard (an H whose squares overflow is a ValueError), and
-``_cone`` checks v and decides both halves of the critical cone.
+
+``eig``'s clustering is the one tie decision: every penalty call but the
+value and the prox reads the spectrum at ``es.position_means``, where a
+cluster's eigenvalues are equal, with kinks and ties judged within
+``es.cluster_tol``.  Second-order entry points read one core: ``_at``
+rotates H once and holds the one squares guard (an H whose squares
+overflow is a ValueError), and ``_cone`` checks v and decides the critical
+cone, both halves relative to the data they compare.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -56,7 +62,6 @@ from .extreal import POS_INF, ExtReal
 from .oracle import ProbeResult, QuotientProbe, numeric_second_subderivative
 from .perturb import _rotate, _Rotated, eig_dir_derivative
 from .symmat import (
-    FAN_TOL,
     EigenSystem,
     SymMatrix,
     _frozen,
@@ -71,6 +76,8 @@ from .symfun import OrderStat, SubgradientSet, SymmetricFunction, _in_cone, spec
 
 PROX_DIR_TOL = 1e-4
 SEMIDERIV_CHECK_RTOL = 1e-8  # semiderivative vs general d2 at the gradient, in the tests
+FAN_TOL = 1e-8  # a cluster's Fan gap, relative to ||y_m||_2 ||Ht_mm||_F
+DEFINITIONAL_CONE_TOL = 1e-7  # |dg(X)(H) - <Y, H>| of a critical H, in CRITCONE and VERIFY
 
 
 def _as_eigensystem(x, triple: SubgradientTriple | None = None) -> EigenSystem:
@@ -91,6 +98,12 @@ def _as_eigensystem(x, triple: SubgradientTriple | None = None) -> EigenSystem:
             if np.array_equal(x.entries, e):
                 return es
     return eig(x)
+
+
+def _subgradients(theta: SymmetricFunction, es: EigenSystem) -> SubgradientSet:
+    """The penalty's subdifferential at the spectrum of es, as eig clustered
+    it: at the cluster means, coordinates within es.cluster_tol tied."""
+    return theta._subgradients(es.position_means, es.cluster_tol)
 
 
 def lifted(theta: SymmetricFunction):
@@ -128,8 +141,8 @@ class SubgradientTriple:
        (y[symmat.block_sort_order(y, bounds)]);
     es: the EigenSystem y is written in (None if built by hand), which the
         (X, triple) functions reuse;
-    checked: (penalty, its subdifferential at es.lam) that v was checked
-        against, reused for an equal penalty at ``es``.  Only
+    checked: (penalty, its subdifferential at es, ``_subgradients``) that
+        v was checked against, reused for an equal penalty at ``es``.  Only
         ``spectral_subgradient`` sets it, and it freezes v: a triple built
         by hand or by ``dataclasses.replace`` carries None and is checked;
     matrix: the embedded subgradient U Diag(y) U^T, given by hand or built
@@ -171,7 +184,7 @@ def spectral_subgradient(
         y = np.asarray(y, dtype=float)
         if y.shape != (es.n,):
             raise ValueError(f"subgradient vector must have length {es.n}, got {y.shape}")
-    s = theta.subgradients(es.lam)
+    s = _subgradients(theta, es)
     y = s.canonical_vertex() if y is None else y
     v = _frozen(block_sort_permutation(y, es))
     theta._checked(s, v)
@@ -184,7 +197,7 @@ def spectral_subderivative(theta: SymmetricFunction, x, h) -> float:
     """Directional derivative of the lift: the penalty subderivative along
     the eigenvalue directional derivative."""
     es = _as_eigensystem(x)
-    return theta.subderivative(es.lam, eig_dir_derivative(es, h))
+    return _subgradients(theta, es).support(eig_dir_derivative(es, h))
 
 
 def subderivative_gap(
@@ -195,7 +208,7 @@ def subderivative_gap(
     structural one is equivalent to."""
     es = _as_eigensystem(x, triple)
     hm = as_sym_array(h)
-    dg = theta.subderivative(es.lam, _rotate(es, hm).dd)
+    dg = _subgradients(theta, es).support(_rotate(es, hm).dd)
     return dg - float(np.vdot(triple.matrix.entries, hm))
 
 
@@ -214,26 +227,34 @@ def _at(x, h, triple: SubgradientTriple | None = None) -> _Rotated:
 
 
 def _cone(theta: SymmetricFunction, triple: SubgradientTriple, rot: _Rotated):
-    """The core's cone test at rot, v checked once (reusing triple.checked
-    for an equal penalty at triple.es): dtheta(lam)(dd), whether it equals
-    <v, dd>, and the Fan gaps of y, sorted again unless rot is at triple.es."""
+    """The one critical cone decision at rot: (dg, critical, gaps, member).
+
+    v, y sorted along rot's clusters, is checked once (triple.checked serves
+    an equal penalty at triple.es).  ``critical`` is the penalty half,
+    ``_in_cone``'s test of dg = dtheta(lam)(dd) = <v, dd>; ``member`` adds
+    the Fan half, each cluster's gap within FAN_TOL ||y_m||_2 ||Ht_mm||_F
+    (no gap exceeds 2 ||y_m||_2 ||Ht_mm||_F)."""
     es = rot.es
+    v = triple.v if es is triple.es else block_sort_permutation(triple.y, es)
     if es is triple.es and triple.checked is not None and triple.checked[0] == theta:
         s = triple.checked[1]
     else:
-        s = theta.check_subgradient(es.lam, triple.v)
-    dg, critical = _in_cone(s, triple.v, rot.dd)
-    v = triple.v if es is triple.es else block_sort_permutation(triple.y, es)
-    return dg, critical, rot.fan_gaps(triple.y, v)
+        s = theta._checked(_subgradients(theta, es), v)
+    dg, critical = _in_cone(s, v, rot.dd)
+    gaps = rot.fan_gaps(triple.y, v)
+    member = critical and all(
+        gaps[m] <= FAN_TOL * math.hypot(*triple.y[b]) * math.hypot(*rot.ht[np.ix_(b, b)].flat)
+        for m, b in es.tied_blocks
+    )
+    return dg, critical, gaps, member
 
 
 def _cone_tests(theta: SymmetricFunction, x, triple: SubgradientTriple, h) -> tuple[bool, float]:
     """(critical_cone_member, subderivative_gap) off one rotation, for
     CRITCONE and VERIFY, which compare the structural and definitional tests."""
     rot = _at(x, h, triple)
-    gap = theta.subderivative(rot.es.lam, rot.dd) - float(np.vdot(triple.matrix.entries, rot.h))
-    _, critical, gaps = _cone(theta, triple, rot)
-    return critical and bool((gaps <= FAN_TOL).all()), gap
+    dg, _, _, member = _cone(theta, triple, rot)
+    return member, dg - float(np.vdot(triple.matrix.entries, rot.h))
 
 
 def curvature_correction(x, y, h) -> float:
@@ -271,11 +292,10 @@ def critical_cone_member(
 
     Two conditions: the eigenvalue directional derivative lies in the
     penalty critical cone at (spectrum, v), and every cluster satisfies the
-    Fan equality (gap at most 1e-8) between Diag(y)_mm and the compression
-    of h.  The conjunction is equivalent to dg(X)(H) = <Y, H> because both
-    residuals are nonnegative."""
-    _, critical, gaps = _cone(theta, triple, _at(x, h, triple))
-    return critical and bool((gaps <= FAN_TOL).all())
+    Fan equality (gap at most 1e-8 ||y_m|| ||Ht_mm||) between Diag(y)_mm
+    and the compression of h.  The conjunction is equivalent to
+    dg(X)(H) = <Y, H> because both residuals are nonnegative."""
+    return _cone(theta, triple, _at(x, h, triple))[3]
 
 
 @dataclass(frozen=True, slots=True)
@@ -351,10 +371,10 @@ def spectral_second_subderivative(
     numbers."""
     rot = _at(x, h, triple)
     es = rot.es
-    dg, critical, gaps = _cone(theta, triple, rot)
-    curv = theta._curvature(es.lam, rot.dd)  # on or off the cone: a cap-boundary McpSum raises
+    dg, critical, gaps, in_cone = _cone(theta, triple, rot)
+    # on or off the cone: a cap-boundary McpSum raises
+    curv = theta._curvature(es.position_means, rot.dd, es.cluster_tol)
     theta_d2 = ExtReal(curv) if critical else POS_INF
-    in_cone = theta_d2.is_finite and bool((gaps <= FAN_TOL).all())
     corr = 2.0 * float(triple.y @ rot.coupling())
     report = SecondOrderReport(
         penalty=theta,
@@ -407,12 +427,12 @@ def leading_eig_second_subderivative(x, i: int, triple: SubgradientTriple, h) ->
         )
     block = es.blocks[i - 1]
     rot = _at(es, h)
-    _, critical, gaps = _cone(OrderStat(rank=block.start + 1), triple, rot)
+    member = _cone(OrderStat(rank=block.start + 1), triple, rot)[3]
     if np.any(np.abs(np.delete(triple.y, block)) > 1e-12):
         raise UnsupportedPointError(
             f"subgradient weights must be supported on cluster {i}"
         )
-    if not (critical and (gaps <= FAN_TOL).all()):
+    if not member:
         return POS_INF
     return ExtReal(2.0 * float(triple.y @ (rot.ht**2 @ rot.inv_gap[block.start])))
 
@@ -427,8 +447,8 @@ def second_semiderivative(theta: SymmetricFunction, x, h) -> float:
     correction at y = grad theta(spectrum).  Raises UnsupportedPointError
     where the penalty is not twice differentiable along the spectrum."""
     es = _as_eigensystem(x)
-    grad = theta.gradient(es.lam)
-    hess = theta.hessian_diagonal(es.lam)
+    grad = theta._gradient(es.position_means, es.cluster_tol)
+    hess = theta._hessian_diagonal(es.position_means, es.cluster_tol)
     rot = _at(es, h)
     return float(hess @ (rot.dd**2) + 2.0 * grad @ rot.coupling())
 

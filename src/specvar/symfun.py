@@ -28,9 +28,12 @@ relative-interior certificate have closed forms: the coefficients of y are
 y_S or cumsum(y)_S.  No LP and no scipy call is involved.
 
 Subgradient membership is tested to an absolute tolerance of 1e-9 in the
-sup norm; active sets and tie detection use a relative tolerance of 1e-8,
-matching the eigenvalue clustering scale upstream.  Vector arguments of
-unequal lengths raise ValueError.
+sup norm.  Active sets, kinks and ties are judged within a width: on a bare
+vector x, ``eig``'s default clustering width ``tie_width(max |x|)``; from
+the spectral layer, which calls the private ``_subgradients``,
+``_curvature``, ``_gradient`` and ``_hessian_diagonal`` at the cluster
+means, the width ``eig`` clustered with, so ties are its clusters.  Vector
+arguments of unequal lengths raise ValueError.
 """
 from __future__ import annotations
 
@@ -91,8 +94,8 @@ def _gamma(gamma) -> float:
 
 
 def _tie_tol(x: np.ndarray) -> float:
-    """Width within which coordinates count as tied: ``eig``'s default
-    clustering width for a spectrum x (``symmat.tie_width``)."""
+    """Width within which the coordinates of a bare vector x count as tied:
+    ``eig``'s default clustering width for a spectrum x (``symmat.tie_width``)."""
     scale = float(np.max(np.abs(x))) if x.size else 0.0
     return tie_width(scale)
 
@@ -220,9 +223,12 @@ class SubgradientSet:
 def _in_cone(s: SubgradientSet, y: np.ndarray, w: np.ndarray) -> tuple[float, bool]:
     """The one penalty cone test, for a y checked against the subdifferential
     s: dtheta(x)(w), the support of s at w, and whether it equals <y, w> to
-    within 1e-8 * (1 + ||w||)."""
+    within CONE_RTOL ||w||_2 + SUBGRADIENT_TOL ||w||_1: no absolute floor,
+    and the second term is what the membership slack of y alone moves
+    <y, w> by, so the two tolerances nest."""
     dg = s.support(w)
-    return dg, bool(abs(dg - float(y @ w)) <= CONE_RTOL * (1.0 + math.sqrt(w.dot(w))))
+    bound = CONE_RTOL * math.sqrt(w.dot(w)) + SUBGRADIENT_TOL * float(np.abs(w).sum())
+    return dg, bool(abs(dg - float(y @ w)) <= bound)
 
 
 @dataclass(frozen=True)
@@ -243,11 +249,13 @@ class ProxResult:
 
 class SymmetricFunction:
     """Interface shared by the shipped symmetric penalties: a subclass
-    states ``value``, ``subgradients`` and, unless it is polyhedral,
-    ``_curvature``, and the calculus follows here (see the module docstring).
-    A subclass with ``polyhedral = True`` (a hull subdifferential) also
-    inherits the gradient, the zero Hessian diagonal and, unless it states
-    its own, the brute-force prox; any other subclass supplies its own."""
+    states ``value``, ``_subgradients`` and, unless it is polyhedral,
+    ``_curvature``, each at a vector and a tie width, and the calculus
+    follows here (see the module docstring).  A subclass with
+    ``polyhedral = True`` (a hull subdifferential) also inherits the
+    gradient, the zero Hessian diagonal and, unless it states its own, the
+    brute-force prox; any other subclass supplies its own (``_gradient``
+    and ``_hessian_diagonal``, at a vector and a tie width, and ``prox``)."""
 
     polyhedral: bool = False
     name: str = ""
@@ -260,6 +268,13 @@ class SymmetricFunction:
         raise NotImplementedError
 
     def subgradients(self, x) -> SubgradientSet:
+        """The subdifferential at x, coordinates within ``tie_width(max |x|)``
+        of each other counting as tied."""
+        x = _vec(x)
+        return self._subgradients(x, _tie_tol(x))
+
+    def _subgradients(self, x: np.ndarray, tol: float) -> SubgradientSet:
+        """The subdifferential at a vector x, coordinates within tol tied."""
         raise NotImplementedError
 
     def subderivative(self, x, w) -> float:
@@ -268,9 +283,10 @@ class SymmetricFunction:
         x, w = _vecs(x, w)
         return self.subgradients(x).support(w)
 
-    def _curvature(self, x, w) -> float:
+    def _curvature(self, x, w, tol: float) -> float:
         """The second subderivative in a critical direction w, which for the
-        shipped penalties does not depend on y: 0 if polyhedral."""
+        shipped penalties does not depend on y: 0 if polyhedral.  Kinks
+        within tol of x raise UnsupportedPointError."""
         if not self.polyhedral:
             raise NotImplementedError
         return 0.0
@@ -280,7 +296,7 @@ class SymmetricFunction:
         y must be a subgradient at x (InvalidSubgradientError otherwise)."""
         x, y, w = _vecs(x, y, w)
         s = self.check_subgradient(x, y)
-        curv = self._curvature(x, w)
+        curv = self._curvature(x, w, _tie_tol(x))
         return ExtReal(curv) if _in_cone(s, y, w)[1] else POS_INF
 
     def prox(self, gamma: float, x) -> ProxResult:
@@ -291,19 +307,27 @@ class SymmetricFunction:
         return ProxResult(point=res.point, closed_form=False)
 
     def gradient(self, x) -> np.ndarray:
+        x = _vec(x)
+        return self._gradient(x, _tie_tol(x))
+
+    def hessian_diagonal(self, x) -> np.ndarray:
+        x = _vec(x)
+        return self._hessian_diagonal(x, _tie_tol(x))
+
+    def _gradient(self, x: np.ndarray, tol: float) -> np.ndarray:
         """For polyhedral penalties: the vertex of a one-vertex hull."""
         if self.polyhedral:
-            s = self.subgradients(x)
+            s = self._subgradients(x, tol)
             if s.active.size == 1:
                 return s.vertices[0]
         raise UnsupportedPointError(f"{self.name} is not differentiable here")
 
-    def hessian_diagonal(self, x) -> np.ndarray:
+    def _hessian_diagonal(self, x: np.ndarray, tol: float) -> np.ndarray:
         """For polyhedral penalties: zero wherever the gradient exists."""
         if not self.polyhedral:
             raise UnsupportedPointError(f"{self.name} has no second derivative here")
-        self.gradient(x)
-        return np.zeros(_vec(x).size)
+        self._gradient(x, tol)
+        return np.zeros(x.size)
 
     def check_subgradient(self, x, y) -> SubgradientSet:
         """The subdifferential at x, once y is checked to lie in it."""
@@ -319,7 +343,7 @@ class SymmetricFunction:
 
     def critical_cone_member(self, x, y, w) -> bool:
         """True when the subderivative at w matches <y, w> to within
-        1e-8 * (1 + ||w||): the two characterizations of the critical cone
+        ``_in_cone``'s bound: the two characterizations of the critical cone
         coincide for these penalties."""
         x, y, w = _vecs(x, y, w)
         return _in_cone(self.check_subgradient(x, y), y, w)[1]
@@ -375,11 +399,10 @@ class OrderStat(SymmetricFunction):
             raise ValueError(f"rank {self.rank} exceeds dimension {n}")
         return _per_row(np.sort(x)[..., n - self.rank])
 
-    def _active(self, x: np.ndarray) -> np.ndarray:
+    def _active(self, x: np.ndarray, tol: float) -> np.ndarray:
         if self.rank > x.size:
             raise ValueError(f"rank {self.rank} exceeds dimension {x.size}")
         xs = np.sort(x)[::-1]
-        tol = _tie_tol(x)
         phi = xs[self.rank - 1]
         if self.rank > 1 and xs[self.rank - 2] <= phi + tol:
             raise UnsupportedPointError(
@@ -388,9 +411,8 @@ class OrderStat(SymmetricFunction):
             )
         return np.flatnonzero(np.abs(x - phi) <= tol)
 
-    def subgradients(self, x) -> SubgradientSet:
-        x = _vec(x)
-        return SubgradientSet(kind="hull", active=self._active(x), n=x.size)
+    def _subgradients(self, x: np.ndarray, tol: float) -> SubgradientSet:
+        return SubgradientSet(kind="hull", active=self._active(x, tol), n=x.size)
 
     def prox(self, gamma: float, x) -> ProxResult:
         """At rank 1 the exact point min(x, c), whose level c solves
@@ -444,23 +466,22 @@ class EigGapMax(SymmetricFunction):
         xs = np.sort(x)[..., ::-1]
         return _per_row((xs[..., :-1] - xs[..., 1:]).max(axis=-1))
 
-    def _require_sorted(self, x: np.ndarray) -> None:
+    def _require_sorted(self, x: np.ndarray, tol: float) -> None:
         if x.size < 2:
             raise ValueError("gap penalty needs at least two coordinates")
-        if np.any(x[:-1] < x[1:] - _tie_tol(x)):
+        if np.any(x[:-1] < x[1:] - tol):
             raise UnsupportedPointError(
                 "gap calculus hypothesis violated: the base point must be sorted "
                 "nonincreasingly (spectral callers always pass ordered eigenvalues)"
             )
 
-    def _active(self, x: np.ndarray) -> np.ndarray:
+    def _active(self, x: np.ndarray, tol: float) -> np.ndarray:
         """Indices of the maximal gaps, under the hypotheses that make the
         penalty locally a max of linear functions: the largest gap is
         nonzero, and both endpoints of every maximal gap are untied.  A tied
         endpoint makes the penalty locally concave-kinked with an empty
         regular subdifferential, so those points are rejected."""
-        self._require_sorted(x)
-        tol = _tie_tol(x)
+        self._require_sorted(x, tol)
         gaps = x[:-1] - x[1:]
         top = float(np.max(gaps))
         if top <= tol:
@@ -482,9 +503,8 @@ class EigGapMax(SymmetricFunction):
                 )
         return idx
 
-    def subgradients(self, x) -> SubgradientSet:
-        x = _vec(x)
-        return SubgradientSet(kind="hull", active=self._active(x), gaps=True, n=x.size)
+    def _subgradients(self, x: np.ndarray, tol: float) -> SubgradientSet:
+        return SubgradientSet(kind="hull", active=self._active(x, tol), gaps=True, n=x.size)
 
 
 @dataclass(frozen=True)
@@ -513,14 +533,13 @@ class McpSum(SymmetricFunction):
         object.__setattr__(self, "c", float(self.c))
 
     def phi(self, t):
-        """Elementwise penalty value (vectorized over any array shape)."""
-        t = np.asarray(t, dtype=float)
-        inner = np.abs(t) <= self.a * self.c
-        return np.where(
-            inner,
-            self.c * np.abs(t) - t * t / (2.0 * self.a),
-            self.a * self.c * self.c / 2.0,
-        )
+        """Elementwise penalty value (vectorized over any array shape).  The
+        quadratic is evaluated at min(|t|, a c), which is |t| on the inner
+        branch, so the discarded branch cannot overflow."""
+        ta = np.abs(np.asarray(t, dtype=float))
+        cap = self.a * self.c
+        tc = np.minimum(ta, cap)
+        return np.where(ta <= cap, self.c * tc - tc * tc / (2.0 * self.a), cap * self.c / 2.0)
 
     def phi_prime(self, t):
         """Elementwise derivative; the value at 0 is the midpoint 0 of the
@@ -532,42 +551,39 @@ class McpSum(SymmetricFunction):
     def value(self, x):
         return _per_row(self.phi(_rows(x)).sum(axis=-1))
 
-    def subgradients(self, x) -> SubgradientSet:
-        x = _vec(x)
-        zero = np.abs(x) <= _tie_tol(x)
+    def _subgradients(self, x: np.ndarray, tol: float) -> SubgradientSet:
+        zero = np.abs(x) <= tol
         g = self.phi_prime(x)
         lower = np.where(zero, -self.c, g)
         upper = np.where(zero, self.c, g)
         return SubgradientSet(kind="box", lower=lower, upper=upper)
 
-    def _inner(self, x: np.ndarray) -> np.ndarray:
-        """The mask |x_i| < a c; a coordinate on the cap boundary |x_i| = a c,
-        where the curvature jumps, raises UnsupportedPointError."""
+    def _inner(self, x: np.ndarray, tol: float) -> np.ndarray:
+        """The mask |x_i| < a c; a coordinate within tol of the cap boundary
+        |x_i| = a c, where the curvature jumps, raises UnsupportedPointError."""
         cap = self.a * self.c
-        if np.any(np.abs(np.abs(x) - cap) <= _tie_tol(x)):
+        if np.any(np.abs(np.abs(x) - cap) <= tol):
             raise UnsupportedPointError(
                 "mcp second-order hypothesis violated: a coordinate sits on the "
                 "cap boundary |t| = a*c where the curvature jumps"
             )
         return np.abs(x) < cap
 
-    def _curvature(self, x, w) -> float:
+    def _curvature(self, x, w, tol: float) -> float:
         """-||w_i||^2 / a over the inner coordinates."""
-        inner = w[self._inner(x)]
+        inner = w[self._inner(x, tol)]
         return 0.0 - float(inner @ inner) / self.a  # 0.0 - keeps an empty sum at +0.0
 
-    def gradient(self, x) -> np.ndarray:
-        x = _vec(x)
-        if np.any(np.abs(x) <= _tie_tol(x)):
+    def _gradient(self, x: np.ndarray, tol: float) -> np.ndarray:
+        if np.any(np.abs(x) <= tol):
             raise UnsupportedPointError(
                 "mcp is not differentiable at zero coordinates"
             )
         return self.phi_prime(x)
 
-    def hessian_diagonal(self, x) -> np.ndarray:
-        x = _vec(x)
-        self.gradient(x)  # zero coordinates raise
-        return np.where(self._inner(x), -1.0 / self.a, 0.0)
+    def _hessian_diagonal(self, x: np.ndarray, tol: float) -> np.ndarray:
+        self._gradient(x, tol)  # zero coordinates raise
+        return np.where(self._inner(x, tol), -1.0 / self.a, 0.0)
 
     def prox(self, gamma: float, x) -> ProxResult:
         gamma = float(gamma)
@@ -577,10 +593,10 @@ class McpSum(SymmetricFunction):
             )
         x = _vec(x)
         xa = np.abs(x)
-        shrunk = np.sign(x) * (self.a / (self.a - gamma)) * (xa - gamma * self.c)
-        out = np.where(
-            xa <= gamma * self.c, 0.0, np.where(xa <= self.a * self.c, shrunk, x)
-        )
+        cap = self.a * self.c
+        # min(|x|, a c) is |x| where the shrunk branch is taken, and cannot overflow
+        shrunk = np.sign(x) * (self.a / (self.a - gamma)) * (np.minimum(xa, cap) - gamma * self.c)
+        out = np.where(xa <= gamma * self.c, 0.0, np.where(xa <= cap, shrunk, x))
         return ProxResult(point=out, closed_form=True)
 
 
@@ -607,16 +623,16 @@ class SmoothSep(SymmetricFunction):
         x = _rows(x)
         return _per_row(0.5 * self.coeff * (x[..., None, :] @ x[..., :, None])[..., 0, 0])
 
-    def gradient(self, x) -> np.ndarray:
-        return self.coeff * _vec(x)
+    def _gradient(self, x: np.ndarray, tol: float) -> np.ndarray:
+        return self.coeff * x
 
-    def hessian_diagonal(self, x) -> np.ndarray:
-        return np.full(_vec(x).size, self.coeff)
+    def _hessian_diagonal(self, x: np.ndarray, tol: float) -> np.ndarray:
+        return np.full(x.size, self.coeff)
 
-    def subgradients(self, x) -> SubgradientSet:
-        return SubgradientSet(kind="point", point=self.gradient(x))
+    def _subgradients(self, x: np.ndarray, tol: float) -> SubgradientSet:
+        return SubgradientSet(kind="point", point=self._gradient(x, tol))
 
-    def _curvature(self, x, w) -> float:
+    def _curvature(self, x, w, tol: float) -> float:
         return self.coeff * float(w @ w)
 
     def prox(self, gamma: float, x) -> ProxResult:

@@ -31,7 +31,6 @@ from .errors import EigenSolveError
 SYMMETRY_RTOL = 1e-12
 ORTHOGONALITY_TOL = 1e-10
 RECONSTRUCTION_RTOL = 1e-9
-FAN_TOL = 1e-8
 CLUSTER_RTOL = 1e-8
 
 
@@ -76,8 +75,9 @@ class SymMatrix:
 def tie_width(scale: float) -> float:
     """Width within which two eigenvalues of a spectrum of largest modulus
     ``scale`` count as equal: 1e-8 * (1 + scale).  ``eig`` clusters with it
-    by default and the penalties in ``symfun`` judge ties with it, so at
-    the default tolerance both read a spectrum the same way."""
+    by default, and the penalties in ``symfun`` judge ties with it when
+    called on a bare vector; called from the spectral layer they read
+    ``eig``'s clusters and width instead."""
     return CLUSTER_RTOL * (1.0 + scale)
 
 
@@ -146,8 +146,17 @@ class EigenSystem:
 
 def cluster_means(lam: np.ndarray, bounds) -> np.ndarray:
     """Mean of ``lam`` over each cluster, cluster m covering
-    bounds[m:m + 2]."""
-    return np.add.reduceat(lam, bounds[:-1]) / np.diff(bounds)
+    bounds[m:m + 2].  A cluster whose sum passes the float maximum is
+    summed again in terms scaled by a power of two below 1 / its size, so
+    its mean stays finite; every other mean is sum / size."""
+    counts = np.diff(bounds)
+    with np.errstate(over="ignore"):
+        means = np.add.reduceat(lam, bounds[:-1]) / counts
+    big = np.isinf(means)
+    if big.any():
+        s = 0.5 ** int(counts.max()).bit_length()
+        means[big] = (np.add.reduceat(lam * s, bounds[:-1])[big] / counts[big]) / s
+    return means
 
 
 @lru_cache(maxsize=8)

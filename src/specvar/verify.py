@@ -22,6 +22,7 @@ from .oracle import (
 )
 from .rand import gapped_spectrum, matrix_with_spectrum, random_symmetric
 from .spectral import (
+    DEFINITIONAL_CONE_TOL,
     _cone_tests,
     leading_eig_second_subderivative,
     lifted,
@@ -118,7 +119,7 @@ def _check_cone_equivalence(rng) -> CheckResult:
             core = np.diag(np.array([2.0, -1.0, 0.5, -0.5]) * rng.uniform(0.5, 1.5))
             h = u @ core @ u.T
         structural, gap = _cone_tests(theta, x, triple, h)
-        definitional = abs(gap) <= 1e-7
+        definitional = abs(gap) <= DEFINITIONAL_CONE_TOL
         total += 1
         agree += structural == definitional
     return CheckResult(

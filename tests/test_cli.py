@@ -196,6 +196,23 @@ class TestOtherCommands:
         assert out["in_critical_cone"] is True
         assert out["definitional_member"] is True
 
+    @pytest.mark.parametrize("g", [3e-9, 5e-9, 9e-9])
+    def test_near_tie_joined_at_the_default_width(self, g, tmp_path, capsys):
+        # eig joins the pair at its default width; both commands exited 2
+        # with "vector is not a subgradient" for the canonical gradient
+        x = write_json_matrix(tmp_path / "x.json", np.diag([0.5, 0.5 - g, -0.7]).tolist())
+        h = write_json_matrix(tmp_path / "h.json", [[0.3, 1.0, 0.0], [1.0, -0.2, 0.5], [0.0, 0.5, 0.1]])
+        outs = {}
+        for command in ("SSUB", "CRITCONE"):
+            argv = ["--command", command, "--matrix", x, "--direction", h,
+                    "--theta", '{"name":"mcp","a":2,"c":1}', "--probe-samples", "8"]
+            code, doc, err = run_cli(argv, capsys)
+            assert code == 0, err
+            assert doc["eigen"]["blocks"] == [[0, 2], [2, 3]]
+            outs[command] = doc["outputs"]
+        assert outs["CRITCONE"]["in_critical_cone"] is outs["CRITCONE"]["definitional_member"] is True
+        assert outs["SSUB"]["in_critical_cone"] is True and outs["SSUB"]["y"][0] == outs["SSUB"]["y"][1]
+
     def test_semideriv(self, tmp_path, capsys):
         x = write_json_matrix(tmp_path / "x.json", [[1.0, 0.3], [0.3, -0.7]])
         h = [[0.4, -0.2], [-0.2, 1.1]]
@@ -732,6 +749,34 @@ class TestFuzz:
             if want == 2:
                 assert "ExtReal" not in proc.stderr and "1e+200" in proc.stderr
                 assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "command, theta, rows",
+        [
+            ("PROX", '{"name":"order_stat","i":1}', np.diag([1.7e308, 1.7e308, 1.6e308])),
+            ("PROX", '{"name":"mcp","a":2,"c":1}', np.diag([1.7e308, 1.7e308, 1.6e308])),
+            ("SUBDERIV", '{"name":"order_stat","i":1}', np.diag([1.7e308, 1.7e308, 1.6e308])),
+            ("SUBDERIV", '{"name":"mcp","a":2,"c":1}', np.diag([1.7e308, 1.7e308, 1.6e308])),
+            ("SSUB", '{"name":"mcp","a":2,"c":1}', 1e200 * np.eye(2)),
+        ],
+    )
+    def test_huge_spectra_run_clean(self, command, theta, rows, tmp_path):
+        # the tied pair's mean overflowed (PROX, SUBDERIV), and so did the
+        # discarded branches of McpSum's value and prox: numpy warned, and
+        # -W error ended in a traceback
+        n = len(rows)
+        x = write_json_matrix(tmp_path / "x.json", rows.tolist())
+        h = write_json_matrix(tmp_path / "h.json", np.ones((n, n)).tolist())
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "specvar.cli",
+             "--command", command, "--matrix", x, "--direction", h, "--theta", theta,
+             "--gamma", "0.5", "--probe-samples", "8"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("role", ["matrix", "direction"])
     def test_overflowing_asymmetry_exits_two(self, role, tmp_path):

@@ -43,7 +43,7 @@ from specvar import (
     subderivative_gap,
 )
 from specvar.spectral import SEMIDERIV_CHECK_RTOL
-from specvar.symfun import CONE_RTOL, spec_to_json
+from specvar.symfun import CONE_RTOL, SUBGRADIENT_TOL, ProxResult, SymmetricFunction, spec_to_json
 from specvar.symmat import block_sort_order, tie_width
 from conftest import (
     CRITICAL_KINDS,
@@ -242,10 +242,10 @@ class TestCriticalCone:
 
 class TestSecondSubderivative:
     def test_mcp_cone_edge_report(self):
-        # the kink coordinate misses c|w| = y w by 1.5e-8, inside the cone
-        # tolerance; the report read in_critical_cone=True with d2 = +inf
+        # the kink coordinate misses c|w| = y w by 1e-8, inside the cone
+        # tolerance (1.1e-8); the report read in_critical_cone=True with d2 = +inf
         theta = McpSum(a=2.0, c=1.0)
-        triple = spectral_subgradient(theta, np.diag([1.0, 0.0]), [0.5, 1.0 - 1.5e-7])
+        triple = spectral_subgradient(theta, np.diag([1.0, 0.0]), [0.5, 1.0 - 1e-7])
         rep = spectral_second_subderivative(theta, np.diag([1.0, 0.0]), triple, np.diag([1.0, 0.1]))
         assert rep.in_critical_cone
         assert rep.theta_d2.is_finite and rep.d2.is_finite
@@ -443,10 +443,13 @@ def test_reports_are_frozen():
     # embedding was built lazily and the clusters became one bounds array
     # (numpy 2.4, OpenBLAS 0.3; another LAPACK may move the last bits).
     # Re-recorded when the Fan gaps came to be read off the rotation: two
-    # reports' fan_gaps moved by at most 5.6e-17, every other field held
+    # reports' fan_gaps moved by at most 5.6e-17, every other field held.
+    # Re-recorded (from 47336e00...) when the penalties came to read the
+    # spectrum at the cluster means: the dg of the six SmoothSep reports at
+    # tied clusters moved by at most 6.7e-16, every other field held
     bits = repr([report_bits(rep) for rep in frozen_reports()])
     assert hashlib.sha256(bits.encode()).hexdigest() == (
-        "47336e00537ae8e5351f2d49c1016442d45ad40904737170422b4e1cc7e3472f"
+        "90b4991659ca7ab6ee0b4fcf4d5804e12f5ba336976d06eb7a500a1529bd9c8a"
     )
 
 
@@ -513,14 +516,16 @@ class TestOneDecomposition:
 
     def test_triple_clustered_at_another_width_is_not_reused(self, eigh_calls):
         # clustered at 1e-3 the top pair is one cluster; a raw X is
-        # decomposed again at the default width, where it is two
+        # decomposed again at the default width, where it is two.  The
+        # weights are subgradients at both widths (a smooth penalty's
+        # gradient at the pair's mean is not one at the pair itself)
         rng = key_rng(42)
         x, _ = matrix_with_spectrum(rng, np.array([1.0, 1.0 - 1e-4, -0.5]))
         es_wide = eig(x, cluster_tol=1e-3)
         assert es_wide.r == 2 and eig(x).r == 3
         h = random_symmetric(rng, 3)
-        for theta in (OrderStat(rank=1), SmoothSep(coeff=1.0)):
-            triple = spectral_subgradient(theta, es_wide)
+        for theta, y in ((OrderStat(rank=1), [1.0, 0.0, 0.0]), (OrderStat(rank=3), None)):
+            triple = spectral_subgradient(theta, es_wide, y)
             before = len(eigh_calls)
             got = spectral_second_subderivative(theta, x, triple, h)
             assert len(eigh_calls) - before == 1
@@ -614,31 +619,36 @@ class TestFanGaps:
             ht = (ht + ht.T) / 2.0
             want = np.array([symmat.fan_gap(np.diag(triple.y[b]), ht[b, :][:, b]) for b in es.blocks])
             np.testing.assert_allclose(rep.fan_gaps, want, rtol=0.0, atol=1e-12)
-            assert ((rep.fan_gaps <= symmat.FAN_TOL) == (want <= symmat.FAN_TOL)).all()
+            assert ((rep.fan_gaps <= spectral.FAN_TOL) == (want <= spectral.FAN_TOL)).all()
             assert rep.fan_gaps.tobytes() == fan_block_gaps(es, triple.y, h).tobytes()
             singles = np.diff(es.bounds) == 1
             assert rep.fan_gaps[singles].tobytes() == np.zeros(singles.sum()).tobytes()
             tied += int((~singles).sum())
-            near[0] += ((want > 1e-10) & (want <= symmat.FAN_TOL)).sum()
-            near[1] += ((want > symmat.FAN_TOL) & (want < 1e-6)).sum()
+            near[0] += ((want > 1e-10) & (want <= spectral.FAN_TOL)).sum()
+            near[1] += ((want > spectral.FAN_TOL) & (want < 1e-6)).sum()
         assert tied >= 150 and near.min() >= 5  # decisions near FAN_TOL, on both sides
 
     def test_triple_of_another_clustering_sorts_y_again(self):
         # at the default width the top pair is two clusters, where y needs no
-        # sorting; at 1e-3 it is one cluster, along which y is unsorted
+        # sorting; at 1e-3 it is one cluster, along which y is unsorted.  The
+        # triple is built by hand at the default width, so nothing checks y
+        # until it is used at the wide clustering
         rng = key_rng(19, 2)
         x, _ = matrix_with_spectrum(rng, np.array([0.5, 0.5 - 1e-4, -0.7]))
-        theta = McpSum(a=2.0, c=1.0)
-        triple = spectral_subgradient(theta, x)
+        theta, y = OrderStat(rank=1), np.array([0.3, 0.7, 0.0])
+        triple = SubgradientTriple(y=y, v=y, es=eig(x))
         wide = eig(x, cluster_tol=1e-3)
-        assert wide.r == 2 and triple.y[0] < triple.y[1]
-        for top in ([1.0, 0.0], [0.0, 1.0]):
+        assert wide.r == 2 and eig(x).r == 3
+        for top, gap in (([1.0, 0.0], 0.4), ([0.0, 1.0], 0.0)):
             h = wide.u @ np.diag(top + [0.0]) @ wide.u.T
             ht = wide.u.T @ h @ wide.u
             want = symmat.fan_gap(np.diag(triple.y[:2]), ht[:2, :2])
             rep = spectral_second_subderivative(theta, wide, triple, h)
-            assert rep.fan_gaps[0] == pytest.approx(want, abs=1e-12) and want > -1e-12
-            assert critical_cone_member(theta, wide, triple, h) == (want <= symmat.FAN_TOL)
+            assert rep.fan_gaps[0] == pytest.approx(want, abs=1e-12)
+            assert want == pytest.approx(gap, abs=1e-12)
+            # v = (0.7, 0.3) against dd = (1, 0): the penalty half fails
+            assert rep.dg == pytest.approx(1.0) and not rep.in_critical_cone
+            assert critical_cone_member(theta, wide, triple, h) is False
 
     def test_one_eigvalsh_per_tied_cluster(self, monkeypatch):
         rng = key_rng(19, 1)
@@ -668,15 +678,16 @@ class TestFanGaps:
 
 @pytest.fixture
 def subgradient_calls(monkeypatch):
-    """A list that grows by one on every penalty ``subgradients`` call."""
+    """A list that grows by one on every penalty subdifferential built: a
+    ``_subgradients`` call, which ``subgradients`` and the spectral layer make."""
     calls = []
     for cls in (OrderStat, McpSum, EigGapMax, SmoothSep):
 
-        def counted(self, x, _subgradients=cls.subgradients):
+        def counted(self, x, tol, _subgradients=cls._subgradients):
             calls.append(1)
-            return _subgradients(self, x)
+            return _subgradients(self, x, tol)
 
-        monkeypatch.setattr(cls, "subgradients", counted)
+        monkeypatch.setattr(cls, "_subgradients", counted)
     return calls
 
 
@@ -907,14 +918,16 @@ class TestOneCore:
 
     @pytest.mark.parametrize("ratio", [0.5, 2.0])
     def test_directions_on_each_side_of_the_cone_bound(self, ratio):
-        # dd = (eps, 0, 0) leaves the residual max(dd) - <v, dd> = eps / 2
-        # against the bound CONE_RTOL (1 + ||dd||); the Fan gap is 0
+        # dd = (eps, 0, 1) leaves the residual max(dd_0, dd_1) - <v, dd> =
+        # eps / 2 against the bound CONE_RTOL ||dd||_2 + SUBGRADIENT_TOL
+        # ||dd||_1, about CONE_RTOL + SUBGRADIENT_TOL; the Fan gap is 0
         x, theta = np.diag([1.0, 1.0, 0.0]), OrderStat(rank=1)
         triple = spectral_subgradient(theta, x, [0.5, 0.5, 0.0])
-        h = np.diag([2.0 * ratio * CONE_RTOL, 0.0, 0.0])
+        h = np.diag([2.0 * ratio * (CONE_RTOL + SUBGRADIENT_TOL), 0.0, 1.0])
         dd = eig_dir_derivative(triple.es, h)
         residual = theta.subderivative(triple.es.lam, dd) - triple.v @ dd
-        assert residual / (CONE_RTOL * (1.0 + np.linalg.norm(dd))) == pytest.approx(ratio, rel=1e-6)
+        bound = CONE_RTOL * np.linalg.norm(dd) + SUBGRADIENT_TOL * np.abs(dd).sum()
+        assert residual / bound == pytest.approx(ratio, rel=1e-6)
         inside = ratio < 1.0
         assert critical_cone_member(theta, x, triple, h) is inside
         assert theta.critical_cone_member(triple.es.lam, triple.v, dd) is inside
@@ -938,15 +951,12 @@ def homogeneous_instances():
 class TestScaleSweep:
     # X -> sX with H -> sH: dg is degree 1 in both together, and so is d2
     # (the curvature term is quadratic in H over eigenvalue gaps).  The
-    # default cluster_tol has an absolute floor, so it is scaled with s.
-    # s runs over powers of two from about 6e-8 to 1e8: eigh then returns
-    # the same eigenbasis, so one-hot weights inside a cluster still name
-    # the same Y (any other rotation of a cluster basis would name another).
-    # The penalties judge ties with the default width tie_width, floor
-    # included, whatever cluster_tol eig used; below s = 2^-25 the smallest
-    # gaps of these spectra fall under that floor and read as ties
-    # (TestDefaultTieWidth)
-    SCALES = tuple(2.0 ** k for k in (-24, -20, -13, -3, 0, 3, 13, 20, 27))
+    # default cluster_tol has an absolute floor, so it is scaled with s;
+    # the penalties judge ties with the width eig used.  s runs over powers
+    # of two: eigh then returns the same eigenbasis, so one-hot weights
+    # inside a cluster still name the same Y (any other rotation of a
+    # cluster basis would name another)
+    SCALES = tuple(2.0 ** k for k in (-60, -40, -24, -20, -13, -3, 0, 3, 13, 20, 27, 40, 60))
 
     @pytest.mark.parametrize("case", range(7))
     def test_dg_and_d2_are_degree_one(self, case):
@@ -966,6 +976,78 @@ class TestScaleSweep:
             d2_s = spectral_second_subderivative(theta, es_s, triple_s, hs).d2
             assert d2_s.is_finite, s
             assert abs(float(d2_s) - s * float(d2)) <= 1e-9 * s * (1.0 + abs(float(d2))), s
+
+
+def power_of_two_draws():
+    """(theta, x, y, h) over four families at clustered and distinct
+    spectra, each point with aligned and generic directions: critical and
+    non-critical draws of both order statistics and the gap penalty (two
+    maximal gaps make its subdifferential a segment), and SmoothSep, for
+    which every direction is critical.  y None is the canonical vertex."""
+    rng = key_rng(4245)
+    draws = []
+    for theta, lam, y in (
+        (OrderStat(rank=1), [1.0, 1.0, 0.5, -0.25], [1.0, 0.0, 0.0, 0.0]),
+        (OrderStat(rank=2), [2.0, 1.0, 1.0, -0.5], [0.0, 1.0, 0.0, 0.0]),
+        (EigGapMax(), [4.0, 2.0, 0.0, -1.0], None),
+        (EigGapMax(), [1.5, -1.0, -2.2, -2.2], None),
+        (SmoothSep(coeff=1.5), [1.0, 1.0, 0.5, -0.25], None),
+    ):
+        x, _ = matrix_with_spectrum(rng, np.array(lam))
+        es = eig(x)
+        for _ in range(3):
+            draws += [(theta, x, y, aligned_direction(rng, es)), (theta, x, y, random_symmetric(rng, 4))]
+    return draws
+
+
+class TestPowerOfTwoScaling:
+    # X -> 2^k X with cluster_tol -> 2^k cluster_tol, and H -> 2^k H, are
+    # exact in floating point (eigh too), and no tie, kink or cone decision
+    # has an absolute floor, so every decision matches k = 0 and d2 follows
+    # its homogeneity law to the bit: degree one for the order statistics
+    # and the gap penalty (y fixed), SmoothSep's gradient scaling with X
+    KS = range(-60, 61)
+
+    @staticmethod
+    def d2_at(theta, x, tol, y, h):
+        es = eig(x, cluster_tol=tol)
+        triple = spectral_subgradient(theta, es, y)
+        rep = spectral_second_subderivative(theta, es, triple, h)
+        assert critical_cone_member(theta, es, triple, h) is rep.in_critical_cone
+        return es.bounds.tolist(), rep.in_critical_cone, rep.d2
+
+    def test_decisions_and_d2_follow_the_scale(self):
+        draws = power_of_two_draws()
+        seen = set()
+        for theta, x, y, h in draws:
+            tol = eig(x).cluster_tol
+            bounds, critical, d2 = self.d2_at(theta, x, tol, y, h)
+            assert critical == d2.is_finite
+            seen.add((type(theta), critical))
+            degree_one = not isinstance(theta, SmoothSep)
+            for k in self.KS:
+                s = 2.0**k
+                got = self.d2_at(theta, s * x, s * tol, y, h)
+                want = ExtReal(float(d2) / s) if degree_one and critical else d2
+                assert got == (bounds, critical, want), (theta, k)
+                assert self.d2_at(theta, x, tol, y, s * h) == (bounds, critical, s * s * d2), (theta, k)
+        assert seen == {(type(t), c) for t, _, _, _ in draws for c in (True, False)} - {(SmoothSep, False)}
+
+    @pytest.mark.parametrize(
+        "theta, lam, why",
+        [
+            (OrderStat(rank=3), [2.0, 1.0, 1.0, -0.5], "not leading"),
+            (EigGapMax(), [3.0, 3.0, 1.0, 0.0], "upper endpoint"),
+            (EigGapMax(), [1.0, 1.0, 1.0], "largest gap is zero"),
+        ],
+    )
+    def test_unsupported_points_stay_unsupported(self, theta, lam, why):
+        x, _ = matrix_with_spectrum(key_rng(4246), np.array(lam))
+        tol = eig(x).cluster_tol
+        for k in self.KS:
+            es = eig(2.0**k * x, cluster_tol=2.0**k * tol)
+            with pytest.raises(UnsupportedPointError, match=why):
+                spectral_subgradient(theta, es)
 
 
 class TestTieHypotheses:
@@ -1023,6 +1105,49 @@ class TestDefaultTieWidth:
             spectral_subgradient(theta, x)
         with pytest.raises(UnsupportedPointError, match=why):
             spectral_subderivative(theta, x, np.ones((3, 3)))
+
+
+class TestOneTieDecision:
+    """The penalties read eig's clustering: the spectrum at the cluster
+    means, where a cluster's eigenvalues are equal, and ties within the
+    width eig clustered with."""
+
+    @pytest.mark.parametrize("g", [3e-9, 5e-9, 9e-9])
+    def test_near_tie_at_the_default_width(self, g):
+        # eig joins the pair at its default width (1.7e-8); the gradient at
+        # the unequal eigenvalues, sorted along the pair, was no subgradient
+        theta = McpSum(a=2.0, c=1.0)
+        x = np.diag([0.5, 0.5 - g, -0.7])
+        es = eig(x)
+        assert es.cluster_tol == tie_width(0.7) and es.r == 2
+        triple = spectral_subgradient(theta, x)
+        assert triple.y[0] == triple.y[1] == theta.phi_prime(es.mu[0])
+        h = random_symmetric(key_rng(4247), 3)
+        rep = spectral_second_subderivative(theta, x, triple, h)
+        assert rep.in_critical_cone and rep.d2.is_finite
+        assert abs(subderivative_gap(theta, x, triple, h)) <= spectral.DEFINITIONAL_CONE_TOL
+        semi = second_semiderivative(theta, x, h)
+        assert semi == pytest.approx(float(rep.d2), rel=SEMIDERIV_CHECK_RTOL)
+
+    def test_custom_width_joins_the_pair_for_the_penalty_too(self):
+        x, _ = matrix_with_spectrum(key_rng(4248), np.array([0.5, 0.5 - 1e-4, -0.7]))
+        theta = McpSum(a=2.0, c=1.0)
+        wide = eig(x, cluster_tol=1e-3)
+        triple = spectral_subgradient(theta, wide)
+        assert wide.r == 2 and triple.y[0] == triple.y[1]
+        swap = wide.u @ np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]) @ wide.u.T
+        for h in (swap, random_symmetric(key_rng(4248, 1), 3)):
+            assert subderivative_gap(theta, wide, triple, h) == pytest.approx(0.0, abs=1e-12)
+            assert critical_cone_member(theta, wide, triple, h)
+            assert spectral_second_subderivative(theta, wide, triple, h).d2.is_finite
+        # written at the default width, where the pair is two clusters, the
+        # weights differ along the pair: no subgradient at the joined pair
+        # (its subderivative_gap read -5e-5 for the swap)
+        narrow = spectral_subgradient(theta, x)
+        assert narrow.y[0] < narrow.y[1]
+        assert subderivative_gap(theta, wide, narrow, swap) >= -1e-15
+        with pytest.raises(InvalidSubgradientError):
+            critical_cone_member(theta, wide, narrow, swap)
 
 
 class TestLeadingEigenvalue:
@@ -1198,6 +1323,20 @@ class TestSpectralProx:
         a = spectral_prox(McpSum(a=2.0, c=1.0), 0.25, x).eigenvalues
         b = spectral_prox(McpSum(a=2.0, c=1.0), 0.25, v.T @ x @ v).eigenvalues
         np.testing.assert_allclose(a, b, atol=1e-10)
+
+    def test_prox_returned_ascending_is_sorted_before_embedding(self):
+        class AscendingProx(SymmetricFunction):
+            """A penalty whose prox hands back its point in ascending order."""
+
+            def prox(self, gamma, x):
+                return ProxResult(point=np.sort(np.asarray(x) / (1.0 + gamma)), closed_form=False)
+
+        x, _ = matrix_with_spectrum(key_rng(4249), np.array([2.0, 0.5, -0.25, -1.0]))
+        es = eig(x)
+        res = spectral_prox(AscendingProx(), 1.0, es)
+        p = es.lam / 2.0
+        assert res.eigenvalues.tobytes() == p.tobytes()
+        assert res.matrix.entries.tobytes() == SymMatrix((es.u * p) @ es.u.T).entries.tobytes()
 
     def test_fallback_marker_for_nonseparable_penalty(self):
         x = np.diag([2.0, 1.0])

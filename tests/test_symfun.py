@@ -49,6 +49,18 @@ class TestValues:
         assert f.value([2.0]) == pytest.approx(1.0)  # exactly at the cap
         assert f.value([-5.0]) == pytest.approx(1.0)  # outer region
 
+    def test_mcp_beyond_the_square_root_of_the_float_maximum(self):
+        # t * t overflowed on the discarded inner branch, with a warning,
+        # though the value there is the constant a c^2 / 2
+        f = McpSum(a=2.0, c=1.0)
+        t = np.array([1e200, -1.7e308, 1.5, -0.3, 0.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = f.phi(t)
+            inner = 1.0 * np.abs(t[2:]) - t[2:] * t[2:] / 4.0  # the inner formula, to the bit
+        assert got[:2].tolist() == [1.0, 1.0]
+        assert got[2:].tobytes() == inner.tobytes()
+
     @settings(max_examples=80, deadline=None)
     @given(vectors(), st.integers(0, 10_000))
     def test_permutation_invariance(self, x, seed):
@@ -426,10 +438,10 @@ class TestSecondSubderivative:
         assert f.second_subderivative(x, y, w).is_finite == f.critical_cone_member(x, y, w)
 
     def test_mcp_cone_edge(self):
-        # the kink coordinate misses c|w| = y w by 1.5e-8, inside the cone
-        # tolerance 1e-8 * (1 + ||w||) = 2.0e-8
+        # the kink coordinate misses c|w| = y w by 1e-8, inside the cone
+        # tolerance 1e-8 ||w||_2 + 1e-9 ||w||_1 = 1.1e-8
         f = McpSum(a=2.0, c=1.0)
-        x, y, w = [1.0, 0.0], [0.5, 1.0 - 1.5e-7], [1.0, 0.1]
+        x, y, w = [1.0, 0.0], [0.5, 1.0 - 1e-7], [1.0, 0.1]
         assert f.critical_cone_member(x, y, w)
         assert float(f.second_subderivative(x, y, w)) == pytest.approx(-0.505, rel=1e-12)
 
@@ -448,6 +460,20 @@ class TestCriticalCone:
         )
         assert McpSum(a=2.0, c=1.0).critical_cone_member([0.0], [1.0], [1.0])
 
+    def test_membership_slack_stays_inside_the_cone(self):
+        # y within the membership tolerance of the gradient moves <y, w> by
+        # up to 1e-9 ||w||_1, 1.8e-7 here, which the old bound 1e-8 (1 +
+        # ||w||_2) = 1.5e-7 read as off the cone
+        rng = key_rng(33)
+        x = rng.standard_normal(200)
+        w = rng.choice([-1.0, 1.0], size=200)
+        y = x + 0.9e-9 * w
+        f = SmoothSep(coeff=1.0)
+        f.check_subgradient(x, y)
+        assert abs(f.subderivative(x, w) - y @ w) > 1e-8 * (1.0 + np.linalg.norm(w))
+        assert f.critical_cone_member(x, y, w)
+        assert float(f.second_subderivative(x, y, w)) == pytest.approx(200.0, rel=1e-12)
+
 
 class TestProx:
     def test_mcp_three_branches(self):
@@ -457,6 +483,16 @@ class TestProx:
         assert f.prox(0.5, [3.0]).point[0] == pytest.approx(3.0)
         assert f.prox(0.5, [-0.8]).point[0] == pytest.approx(-0.4)
         assert f.prox(0.5, [0.4]).closed_form
+
+    def test_mcp_near_the_float_maximum(self):
+        # the shrunk branch overflowed where it is not taken, with a warning
+        f = McpSum(a=2.0, c=1.0)
+        x = np.array([1.7e308, -1.7e308, 0.8, -1.5, 0.2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = f.prox(0.5, x).point
+        assert p[:2].tolist() == x[:2].tolist()
+        assert p[2:] == pytest.approx([0.4, -4.0 / 3.0 * 1.0, 0.0])
 
     def test_mcp_gamma_range(self):
         f = McpSum(a=2.0, c=1.0)

@@ -135,6 +135,13 @@ class TestEig:
         assert es.r == 2
         assert not es.ambiguous
 
+    @pytest.mark.parametrize("ratio, ambiguous", [(0.4, False), (0.6, True), (1.75, True), (2.5, False)])
+    def test_ambiguity_band_is_half_to_twice_the_tolerance(self, ratio, ambiguous):
+        # the band's outer edge is 2 tol: a gap of 1.75 tol is a close call
+        es = eig(np.diag([1.0, 1.0 - ratio * 1e-3, -1.0]), cluster_tol=1e-3)
+        assert es.r == (2 if ratio < 1.0 else 3)
+        assert es.ambiguous is ambiguous
+
     def test_default_cluster_tol_tracks_norm(self):
         assert eig(np.zeros((2, 2))).cluster_tol == pytest.approx(1e-8)
         assert eig(np.diag([9.0, 0.0])).cluster_tol == pytest.approx(1e-7)
@@ -142,6 +149,26 @@ class TestEig:
     def test_rejects_bad_cluster_tol(self):
         with pytest.raises(ValueError):
             eig(np.eye(2), cluster_tol=0.0)
+
+
+class TestClusterMeans:
+    def test_a_sum_past_the_float_maximum_keeps_its_mean_finite(self, recwarn):
+        # the pair summed to inf before dividing, with an overflow warning
+        es = eig(np.diag([1.7e308, 1.7e308, 1.6e308]))
+        assert es.bounds.tolist() == [0, 2, 3] and len(recwarn) == 0
+        # eigh rescales a matrix this large, so lam is 1.7e308 to rounding
+        assert es.lam[1] <= es.mu[0] <= es.lam[0] and es.mu[1] == es.lam[2]
+        assert es.mu[0] == pytest.approx(1.7e308, rel=1e-15)
+        lam = np.array([-1.7e308, -1.7e308, -1.7e308, 1.0, 1.0])
+        means = cluster_means(lam, np.array([0, 3, 5]))
+        assert means[0] == pytest.approx(-1.7e308, rel=1e-15) and means[1] == 1.0
+
+    def test_finite_sums_are_divided_as_before(self):
+        rng = key_rng(62)
+        for sizes in ((2, 1, 3), (4,), (1, 1, 5, 2)):
+            es = eig(clustered_matrix(rng, sizes, gap=0.5))
+            want = np.add.reduceat(es.lam, es.bounds[:-1]) / np.diff(es.bounds)
+            assert cluster_means(es.lam, es.bounds).tobytes() == want.tobytes()
 
 
 def shortcut_cases():
