@@ -31,7 +31,6 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -61,6 +60,7 @@ from .symfun import (
     spec_from_json,
     spec_to_json,
 )
+from .record import Record
 from .symmat import SymMatrix, eig
 from .verify import all_passed, run_all
 
@@ -81,11 +81,14 @@ def _has_bool(data) -> bool:
     return isinstance(data, bool)
 
 
-@dataclass(frozen=True)
-class LoadedMatrix:
-    raw: list  # row-major entries exactly as parsed, for input echo
-    matrix: SymMatrix
-    asymmetry: float  # max |A - A^T| of the parsed entries
+class LoadedMatrix(Record):
+    """``raw``: the row-major entries exactly as parsed, for input echo;
+    ``asymmetry``: max |A - A^T| of the parsed entries."""
+
+    __slots__ = _fields = ("raw", "matrix", "asymmetry")
+
+    def __init__(self, raw: list, matrix: SymMatrix, asymmetry: float):
+        self._init(raw, matrix, asymmetry)
 
 
 def _load_matrix(path: str) -> LoadedMatrix:

@@ -9,22 +9,22 @@ positive-scalar * inf, and both are checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .record import Record
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class ExtReal:
+class ExtReal(Record):
     """A real number extended with +infinity (no NaN, no -infinity)."""
 
-    value: float
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self):
-        v = float(self.value)
+    def __init__(self, value: float):
+        v = float(value)
         if math.isnan(v):
             raise ValueError("ExtReal does not admit NaN")
         if v == -math.inf:
             raise ValueError("ExtReal does not admit -infinity")
-        object.__setattr__(self, "value", v)
+        self._init(v)
 
     @property
     def is_finite(self) -> bool:

@@ -46,13 +46,13 @@ first of equal minima.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import OracleError
 from .extreal import POS_INF, ExtReal
+from .record import Record, Value
 
 ATTAINMENT_TOL = 1e-2
 STACK_FLOATS = 1 << 18  # candidate points evaluated per chunk, in floats
@@ -154,17 +154,19 @@ def _masked(q: np.ndarray, fv: np.ndarray) -> np.ndarray:
     return q
 
 
-@dataclass(frozen=True)
-class QuotientProbe:
+class QuotientProbe(Value):
     """Configuration of the second-order quotient estimator."""
 
-    t_grid: tuple[float, ...] = (1e-2, 1e-3, 1e-4)
-    radius: float = 0.5
-    samples: int = 256
-    seed: int = 0
+    __slots__ = _fields = ("t_grid", "radius", "samples", "seed")
 
-    def __post_init__(self):
-        grid = tuple(float(t) for t in self.t_grid)
+    def __init__(
+        self,
+        t_grid: tuple[float, ...] = (1e-2, 1e-3, 1e-4),
+        radius: float = 0.5,
+        samples: int = 256,
+        seed: int = 0,
+    ):
+        grid = tuple(float(t) for t in t_grid)
         if len(grid) < 2:
             raise ValueError("t_grid needs at least two levels")
         if not all(math.isfinite(t) for t in grid):
@@ -173,22 +175,21 @@ class QuotientProbe:
             grid[i] <= grid[i + 1] for i in range(len(grid) - 1)
         ):
             raise ValueError("t_grid must be strictly decreasing and positive")
-        if self.samples < 1:
+        if samples < 1:
             raise ValueError("samples must be at least 1")
-        if not (math.isfinite(self.radius) and self.radius >= 0):
+        if not (math.isfinite(radius) and radius >= 0):
             raise ValueError("radius must be finite and nonnegative")
-        object.__setattr__(self, "t_grid", grid)
+        self._init(grid, radius, samples, seed)
 
 
-@dataclass(frozen=True)
-class ProbeLevel:
-    t: float
-    at_w: ExtReal
-    minimum: ExtReal
+class ProbeLevel(Value):
+    __slots__ = _fields = ("t", "at_w", "minimum")
+
+    def __init__(self, t: float, at_w: ExtReal, minimum: ExtReal):
+        self._init(t, at_w, minimum)
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class ProbeResult:
+class ProbeResult(Record):
     """The estimate, and one ProbeLevel per grid level in grid order.
 
     The estimate's two levels come evaluated.  The leading ones are
@@ -196,10 +197,12 @@ class ProbeResult:
     holds f, x, v and w, and a NaN or -infinity quotient there raises
     ValueError on that read, not in ``numeric_second_subderivative``."""
 
-    estimate: ExtReal
+    _fields = ("estimate",)
 
     def __init__(self, estimate: ExtReal, tail: tuple[ProbeLevel, ...], leading):
-        self.__dict__.update(estimate=estimate, _tail=tail, _leading=leading)
+        self._init(estimate)
+        object.__setattr__(self, "_tail", tail)
+        object.__setattr__(self, "_leading", leading)
 
     @cached_property
     def levels(self) -> tuple[ProbeLevel, ...]:
@@ -319,19 +322,18 @@ def _search_moves(shape):
     return moves
 
 
-@dataclass(frozen=True)
-class AttainmentLevel:
-    t: float
-    point: np.ndarray
-    quotient: float
-    distance: float
+class AttainmentLevel(Record):
+    __slots__ = _fields = ("t", "point", "quotient", "distance")
+
+    def __init__(self, t: float, point: np.ndarray, quotient: float, distance: float):
+        self._init(t, point, quotient, distance)
 
 
-@dataclass(frozen=True)
-class AttainmentResult:
-    target: float
-    levels: tuple[AttainmentLevel, ...]
-    success: bool
+class AttainmentResult(Record):
+    __slots__ = _fields = ("target", "levels", "success")
+
+    def __init__(self, target: float, levels: tuple[AttainmentLevel, ...], success: bool):
+        self._init(target, levels, success)
 
 
 def epi_attainment_search(
@@ -407,10 +409,11 @@ def epi_attainment_search(
     return AttainmentResult(target=target, levels=tuple(levels), success=success)
 
 
-@dataclass(frozen=True)
-class NumericProxResult:
-    point: np.ndarray
-    objective: float
+class NumericProxResult(Record):
+    __slots__ = _fields = ("point", "objective")
+
+    def __init__(self, point: np.ndarray, objective: float):
+        self._init(point, objective)
 
 
 def numeric_prox(

@@ -9,25 +9,22 @@ second-order core ``spectral._at``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .record import Record
 from .symmat import EigenSystem, as_sym_array
 
 
-@dataclass(frozen=True)
-class _Rotated:
+class _Rotated(Record):
     """H (``h``, validated) in X's eigenbasis: ``ht`` = U^T H U, symmetrized;
     ``inv_gap[j, k]`` = 1 / (mu_b(j) - mu_b(k)), 0 within a cluster, so row j
     is the diagonal of U^T (mu_b(j) I - X)^+ U; ``dd`` = eig_dir_derivative,
     from ``_rotate``'s one eigvalsh per tied cluster, which the Fan gaps reuse."""
 
-    es: EigenSystem
-    h: np.ndarray
-    ht: np.ndarray
-    inv_gap: np.ndarray
-    dd: np.ndarray
+    __slots__ = _fields = ("es", "h", "ht", "inv_gap", "dd")
+
+    def __init__(self, es: EigenSystem, h, ht, inv_gap, dd):
+        self._init(es, h, ht, inv_gap, dd)
 
     def coupling(self) -> np.ndarray:
         """(U^T H (mu_b(j) I - X)^+ H U)_jj = sum_k Ht_jk^2 inv_gap[j, k]."""
@@ -51,7 +48,8 @@ def _rotate(es: EigenSystem, hm: np.ndarray) -> _Rotated:
     ht = es.u.T @ hm @ es.u
     ht = (ht + ht.T) / 2.0
     mu = es.position_means
-    gap = mu[:, None] - mu[None, :]
+    with np.errstate(over="ignore"):  # a span past the float maximum: 1 / inf = 0
+        gap = mu[:, None] - mu[None, :]
     gap.flat[:: es.n + 1] = np.inf  # 1 / inf = +0.0 within a cluster
     dd = ht.diagonal().copy()
     for _, b in es.tied_blocks:

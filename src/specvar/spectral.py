@@ -52,7 +52,6 @@ cone, both halves relative to the data they compare.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -61,6 +60,7 @@ from .errors import UnsupportedPointError
 from .extreal import POS_INF, ExtReal
 from .oracle import ProbeResult, QuotientProbe, numeric_second_subderivative
 from .perturb import _rotate, _Rotated, eig_dir_derivative
+from .record import Record
 from .symmat import (
     EigenSystem,
     SymMatrix,
@@ -132,8 +132,7 @@ def spectral_value(theta: SymmetricFunction, x) -> float:
     return theta.value(es.lam)
 
 
-@dataclass(frozen=True, init=False)
-class SubgradientTriple:
+class SubgradientTriple(Record):
     """A subgradient of the lift in both coordinates.
 
     y: weight per eigenvector column, in eigenvalue order;
@@ -144,23 +143,20 @@ class SubgradientTriple:
     checked: (penalty, its subdifferential at es, ``_subgradients``) that
         v was checked against, reused for an equal penalty at ``es``.  Only
         ``spectral_subgradient`` sets it, and it freezes v: a triple built
-        by hand or by ``dataclasses.replace`` carries None and is checked;
+        by hand carries None and is checked;
     matrix: the embedded subgradient U Diag(y) U^T, given by hand or built
         from ``es`` when first read.  With ``es.u`` and ``es.matrix`` that
         is three n x n arrays: keep reports, not triples.
     """
 
-    y: np.ndarray
-    v: np.ndarray
-    es: EigenSystem | None
-    checked: tuple[SymmetricFunction, SubgradientSet] | None = field(default=None, init=False)
+    _fields = ("y", "v", "es", "checked")
 
     def __init__(self, y, v, matrix: SymMatrix | None = None, es: EigenSystem | None = None):
         if matrix is None and es is None:
             raise TypeError("a SubgradientTriple needs its matrix or its EigenSystem")
-        self.__dict__.update(y=y, v=v, es=es)
+        self._init(y, v, es, None)
         if matrix is not None:
-            self.__dict__["matrix"] = matrix
+            object.__setattr__(self, "matrix", matrix)  # so the cached_property never runs
 
     @cached_property
     def matrix(self) -> SymMatrix:
@@ -189,7 +185,7 @@ def spectral_subgradient(
     v = _frozen(block_sort_permutation(y, es))
     theta._checked(s, v)
     triple = SubgradientTriple(y=y, v=v, es=es)
-    triple.__dict__["checked"] = (theta, s)
+    object.__setattr__(triple, "checked", (theta, s))
     return triple
 
 
@@ -298,8 +294,7 @@ def critical_cone_member(
     return _cone(theta, triple, _at(x, h, triple))[3]
 
 
-@dataclass(frozen=True, slots=True)
-class SecondOrderReport:
+class SecondOrderReport(Record):
     """Everything the second-order analysis at (X, Y, H) produced.
 
     ``curvature_correction`` is an unconditional quadratic in H, reported
@@ -314,24 +309,38 @@ class SecondOrderReport:
     ``v`` are computed on access by the functions that produced them
     (``spec_to_json``, ``symmat.cluster_means``, ``symmat.block_sort_order``)."""
 
-    penalty: SymmetricFunction
-    n: int
-    direction: np.ndarray
-    spectrum: np.ndarray
-    block_bounds: np.ndarray
-    ambiguous_clustering: bool
-    y: np.ndarray
-    value: float
-    eig_dir: np.ndarray
-    dg: float
-    pairing: float
-    fan_gaps: np.ndarray
-    in_critical_cone: bool
-    theta_d2: ExtReal
-    curvature_correction: float
-    d2: ExtReal
-    oracle_d2: ExtReal | None = None
-    oracle_gap: float | None = None
+    __slots__ = _fields = (
+        "penalty", "n", "direction", "spectrum", "block_bounds", "ambiguous_clustering",
+        "y", "value", "eig_dir", "dg", "pairing", "fan_gaps", "in_critical_cone",
+        "theta_d2", "curvature_correction", "d2", "oracle_d2", "oracle_gap",
+    )
+
+    def __init__(
+        self,
+        penalty: SymmetricFunction,
+        n: int,
+        direction: np.ndarray,
+        spectrum: np.ndarray,
+        block_bounds: np.ndarray,
+        ambiguous_clustering: bool,
+        y: np.ndarray,
+        value: float,
+        eig_dir: np.ndarray,
+        dg: float,
+        pairing: float,
+        fan_gaps: np.ndarray,
+        in_critical_cone: bool,
+        theta_d2: ExtReal,
+        curvature_correction: float,
+        d2: ExtReal,
+        oracle_d2: ExtReal | None = None,
+        oracle_gap: float | None = None,
+    ):
+        self._init(
+            penalty, n, direction, spectrum, block_bounds, ambiguous_clustering,
+            y, value, eig_dir, dg, pairing, fan_gaps, in_critical_cone,
+            theta_d2, curvature_correction, d2, oracle_d2, oracle_gap,
+        )
 
     @property
     def theta(self) -> dict:
@@ -407,7 +416,8 @@ def _with_oracle(report: SecondOrderReport, res: ProbeResult) -> SecondOrderRepo
     distance to d2: the one place a report gets its oracle fields."""
     est, d2 = res.estimate, report.d2
     gap = abs(float(d2) - float(est)) if d2.is_finite and est.is_finite else None
-    return replace(report, oracle_d2=est, oracle_gap=gap)
+    # every field but the last two, oracle_d2 and oracle_gap, is the report's
+    return SecondOrderReport(*report._values()[:-2], est, gap)
 
 
 def leading_eig_second_subderivative(x, i: int, triple: SubgradientTriple, h) -> ExtReal:
@@ -453,11 +463,11 @@ def second_semiderivative(theta: SymmetricFunction, x, h) -> float:
     return float(hess @ (rot.dd**2) + 2.0 * grad @ rot.coupling())
 
 
-@dataclass(frozen=True)
-class SpectralProxResult:
-    matrix: SymMatrix
-    eigenvalues: np.ndarray
-    closed_form: bool
+class SpectralProxResult(Record):
+    __slots__ = _fields = ("matrix", "eigenvalues", "closed_form")
+
+    def __init__(self, matrix: SymMatrix, eigenvalues: np.ndarray, closed_form: bool):
+        self._init(matrix, eigenvalues, closed_form)
 
 
 def spectral_prox(theta: SymmetricFunction, gamma: float, x) -> SpectralProxResult:
@@ -476,15 +486,20 @@ def spectral_prox(theta: SymmetricFunction, gamma: float, x) -> SpectralProxResu
     return SpectralProxResult(matrix=mat, eigenvalues=p, closed_form=pr.closed_form)
 
 
-@dataclass(frozen=True)
-class ProxDirectional:
+class ProxDirectional(Record):
     """Directional derivative estimate of the prox map with Richardson
     extrapolation across a geometric step grid."""
 
-    derivative: np.ndarray
-    converged: bool
-    quotients: tuple[np.ndarray, ...]
-    extrapolants: tuple[np.ndarray, ...]
+    __slots__ = _fields = ("derivative", "converged", "quotients", "extrapolants")
+
+    def __init__(
+        self,
+        derivative: np.ndarray,
+        converged: bool,
+        quotients: tuple[np.ndarray, ...],
+        extrapolants: tuple[np.ndarray, ...],
+    ):
+        self._init(derivative, converged, quotients, extrapolants)
 
 
 def prox_directional_derivative(

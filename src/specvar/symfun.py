@@ -39,13 +39,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidSubgradientError, UnsupportedPointError
 from .extreal import POS_INF, ExtReal
 from .oracle import numeric_prox
+from .record import Record, Value
 from .symmat import tie_width
 
 SUBGRADIENT_TOL = 1e-9
@@ -140,8 +140,7 @@ def _null_space(a: np.ndarray) -> np.ndarray:
     return vh[rank:].T
 
 
-@dataclass(frozen=True)
-class SubgradientSet:
+class SubgradientSet(Record):
     """Generator description of a subdifferential.
 
     kind = "point": the singleton {point};
@@ -154,13 +153,19 @@ class SubgradientSet:
     a regular penalty with this subdifferential.
     """
 
-    kind: str
-    active: np.ndarray | None = None
-    gaps: bool = False
-    n: int = 0
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
-    point: np.ndarray | None = None
+    __slots__ = _fields = ("kind", "active", "gaps", "n", "lower", "upper", "point")
+
+    def __init__(
+        self,
+        kind: str,
+        active: np.ndarray | None = None,
+        gaps: bool = False,
+        n: int = 0,
+        lower: np.ndarray | None = None,
+        upper: np.ndarray | None = None,
+        point: np.ndarray | None = None,
+    ):
+        self._init(kind, active, gaps, n, lower, upper, point)
 
     @property
     def vertices(self) -> np.ndarray:
@@ -201,7 +206,14 @@ class SubgradientSet:
         """max <s, w> over the set, for w of the set's length."""
         w = _vec(w)
         if self.kind == "point":
-            return float(self.point @ w)
+            with np.errstate(over="ignore", invalid="ignore"):
+                dot = float(self.point @ w)
+                if not math.isfinite(dot):
+                    # partial sums past the float maximum: summed again with
+                    # the point scaled by a power of two below 1 / its length
+                    s = 0.5 ** w.size.bit_length()
+                    dot = float((self.point * s) @ w) / s
+            return dot
         if self.kind == "box":
             # the upper end where w is +0 or above, the lower end where it
             # is -0 or below: on [-c, c] the term is c|w| to the bit
@@ -231,20 +243,22 @@ def _in_cone(s: SubgradientSet, y: np.ndarray, w: np.ndarray) -> tuple[float, bo
     return dg, bool(abs(dg - float(y @ w)) <= bound)
 
 
-@dataclass(frozen=True)
-class GqfCertificate:
+class GqfCertificate(Record):
     """Whether a polyhedral second subderivative is a generalized quadratic
     (zero on a subspace, +inf off it); carries an orthonormal basis of the
     subspace when it is."""
 
-    is_gqf: bool
-    subspace_basis: np.ndarray | None
+    __slots__ = _fields = ("is_gqf", "subspace_basis")
+
+    def __init__(self, is_gqf: bool, subspace_basis: np.ndarray | None):
+        self._init(is_gqf, subspace_basis)
 
 
-@dataclass(frozen=True)
-class ProxResult:
-    point: np.ndarray
-    closed_form: bool
+class ProxResult(Record):
+    __slots__ = _fields = ("point", "closed_form")
+
+    def __init__(self, point: np.ndarray, closed_form: bool):
+        self._init(point, closed_form)
 
 
 class SymmetricFunction:
@@ -257,6 +271,7 @@ class SymmetricFunction:
     brute-force prox; any other subclass supplies its own (``_gradient``
     and ``_hessian_diagonal``, at a vector and a tie width, and ``prox``)."""
 
+    __slots__ = ()
     polyhedral: bool = False
     name: str = ""
 
@@ -373,8 +388,7 @@ class SymmetricFunction:
         return GqfCertificate(True, _null_space(verts[1:] - verts[0]))
 
 
-@dataclass(frozen=True)
-class OrderStat(SymmetricFunction):
+class OrderStat(SymmetricFunction, Value):
     """The rank-th largest coordinate (rank is 1-based; rank 1 is the max).
 
     First- and second-order objects require the leading-rank hypothesis:
@@ -382,15 +396,14 @@ class OrderStat(SymmetricFunction):
     values.  Violations raise UnsupportedPointError.
     """
 
-    rank: int
-
+    __slots__ = _fields = ("rank",)
     polyhedral = True
     name = "order_stat"
 
-    def __post_init__(self):
-        if int(self.rank) != self.rank or self.rank < 1:
+    def __init__(self, rank: int):
+        if int(rank) != rank or rank < 1:
             raise ValueError("rank must be a positive integer")
-        object.__setattr__(self, "rank", int(self.rank))
+        self._init(int(rank))
 
     def value(self, x):
         x = _rows(x)
@@ -409,7 +422,8 @@ class OrderStat(SymmetricFunction):
                 f"order statistic rank {self.rank} is not leading here: it ties "
                 f"the next larger value within {tol:.2e}"
             )
-        return np.flatnonzero(np.abs(x - phi) <= tol)
+        with np.errstate(over="ignore"):  # an infinite distance is no tie
+            return np.flatnonzero(np.abs(x - phi) <= tol)
 
     def _subgradients(self, x: np.ndarray, tol: float) -> SubgradientSet:
         return SubgradientSet(kind="hull", active=self._active(x, tol), n=x.size)
@@ -444,8 +458,7 @@ class OrderStat(SymmetricFunction):
         return ProxResult(point=np.minimum(x, (top * s + float(level[k])) / s), closed_form=True)
 
 
-@dataclass(frozen=True)
-class EigGapMax(SymmetricFunction):
+class EigGapMax(SymmetricFunction, Value):
     """Largest consecutive gap of the coordinates sorted nonincreasingly.
 
     The value is symmetric by construction (the input is sorted before the
@@ -454,6 +467,7 @@ class EigGapMax(SymmetricFunction):
     calls them; unsorted input raises UnsupportedPointError.
     """
 
+    __slots__ = ()
     polyhedral = True
     name = "eig_gap"
 
@@ -507,8 +521,7 @@ class EigGapMax(SymmetricFunction):
         return SubgradientSet(kind="hull", active=self._active(x, tol), gaps=True, n=x.size)
 
 
-@dataclass(frozen=True)
-class McpSum(SymmetricFunction):
+class McpSum(SymmetricFunction, Value):
     """Coordinatewise minimax concave penalty, summed.
 
     Each coordinate contributes c|t| - t^2/(2a) while |t| <= a c and the
@@ -517,20 +530,17 @@ class McpSum(SymmetricFunction):
     exclude the cap boundary |t| = a c, where the curvature jumps.
     """
 
-    a: float
-    c: float
-
+    __slots__ = _fields = ("a", "c")
     name = "mcp"
 
-    def __post_init__(self):
-        if not (self.a > 1.0):
+    def __init__(self, a: float, c: float):
+        if not (a > 1.0):
             raise ValueError("mcp requires a > 1")
-        if not (self.c > 0.0):
+        if not (c > 0.0):
             raise ValueError("mcp requires c > 0")
-        if not (np.isfinite(self.a) and np.isfinite(self.c)):
+        if not (np.isfinite(a) and np.isfinite(c)):
             raise ValueError("mcp requires finite a and c")
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "c", float(self.c))
+        self._init(float(a), float(c))
 
     def phi(self, t):
         """Elementwise penalty value (vectorized over any array shape).  The
@@ -600,8 +610,7 @@ class McpSum(SymmetricFunction):
         return ProxResult(point=out, closed_form=True)
 
 
-@dataclass(frozen=True)
-class SmoothSep(SymmetricFunction):
+class SmoothSep(SymmetricFunction, Value):
     """Uniform separable quadratic coeff/2 * ||x||^2.
 
     The coefficient is a single scalar: a non-uniform diagonal quadratic
@@ -609,14 +618,13 @@ class SmoothSep(SymmetricFunction):
     the JSON loader.
     """
 
-    coeff: float = 1.0
-
+    __slots__ = _fields = ("coeff",)
     name = "smooth_sep"
 
-    def __post_init__(self):
-        if not np.isfinite(self.coeff):
+    def __init__(self, coeff: float = 1.0):
+        if not np.isfinite(coeff):
             raise ValueError("coeff must be finite")
-        object.__setattr__(self, "coeff", float(self.coeff))
+        self._init(float(coeff))
 
     def value(self, x):
         # the stacked matmul gives ddot's bits, row by row and for a vector

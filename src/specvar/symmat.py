@@ -20,13 +20,12 @@ the EigenSystem records it as ``cluster_tol``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
 
 import numpy as np
 
 from .errors import EigenSolveError
+from .record import Record
 
 SYMMETRY_RTOL = 1e-12
 ORTHOGONALITY_TOL = 1e-10
@@ -53,19 +52,18 @@ def _frozen(a: np.ndarray, dtype=float) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class SymMatrix:
+class SymMatrix(Record):
     """Dense real symmetric matrix: a frozen copy of an exactly symmetric
     input (one comparison pass), else A/2 + A^T/2, finite where (A + A^T)/2
     would overflow.  It never keeps the caller's array.
     """
 
-    entries: np.ndarray
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self):
-        a = as_sym_array(self.entries)
+    def __init__(self, entries: np.ndarray):
+        a = as_sym_array(entries)
         sym = a.copy() if np.array_equal(a, a.T) else a / 2.0 + a.T / 2.0
-        object.__setattr__(self, "entries", _frozen(sym))
+        self._init(_frozen(sym))
 
     @property
     def n(self) -> int:
@@ -81,8 +79,7 @@ def tie_width(scale: float) -> float:
     return CLUSTER_RTOL * (1.0 + scale)
 
 
-@dataclass(frozen=True)
-class EigenSystem:
+class EigenSystem(Record):
     """Ordered eigendecomposition with eigenvalue clustering.
 
     ``u`` holds orthonormal eigenvectors as columns, ``lam`` the
@@ -95,19 +92,22 @@ class EigenSystem:
     call at the given tolerance.
     """
 
-    matrix: SymMatrix
-    u: np.ndarray
-    lam: np.ndarray
-    bounds: np.ndarray
-    mu: np.ndarray
-    cluster_tol: float
-    ambiguous: bool = False
+    _fields = ("matrix", "u", "lam", "bounds", "mu", "cluster_tol", "ambiguous")
 
-    def __post_init__(self):
-        object.__setattr__(self, "u", _frozen(self.u))
-        object.__setattr__(self, "lam", _frozen(self.lam))
-        object.__setattr__(self, "bounds", _frozen(self.bounds, np.intp))
-        object.__setattr__(self, "mu", _frozen(self.mu))
+    def __init__(
+        self,
+        matrix: SymMatrix,
+        u: np.ndarray,
+        lam: np.ndarray,
+        bounds: np.ndarray,
+        mu: np.ndarray,
+        cluster_tol: float,
+        ambiguous: bool = False,
+    ):
+        self._init(
+            matrix, _frozen(u), _frozen(lam), _frozen(bounds, np.intp), _frozen(mu),
+            cluster_tol, ambiguous,
+        )
 
     @property
     def n(self) -> int:

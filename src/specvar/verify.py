@@ -11,8 +11,6 @@ few seconds without the test harness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .oracle import (
@@ -36,13 +34,14 @@ from .spectral import (
 )
 from .symfun import EigGapMax, McpSum, OrderStat, SmoothSep, SymmetricFunction
 from .rand import random_orthogonal
+from .record import Value
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(Value):
+    __slots__ = _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        self._init(name, passed, detail)
 
 
 def _theta_zoo() -> list[SymmetricFunction]:

@@ -3,6 +3,7 @@ determinism hashing, and the quotient trace."""
 import hashlib
 import json
 import re
+import os
 import subprocess
 import sys
 import warnings
@@ -10,11 +11,13 @@ import warnings
 import numpy as np
 import pytest
 
-from specvar import cli, spectral
+from specvar import cli, matrix_with_spectrum, random_symmetric, spectral
 from specvar.cli import main
+from conftest import key_rng
 
 FLAGSHIP = [[2.0, 0.0], [0.0, 1.0]]
 OFFDIAG = [[0.0, 1.0], [1.0, 0.0]]
+SPAN_H = [[0.3, 1.0, 0.0], [1.0, -0.2, 0.5], [0.0, 0.5, 0.1]]
 
 
 def write_json_matrix(path, rows, flat_n=None):
@@ -36,6 +39,33 @@ def run_cli(argv, capsys):
     captured = capsys.readouterr()
     doc = json.loads(captured.out) if captured.out.strip() else None
     return code, doc, captured.err
+
+
+def run_strict(argv, env=None):
+    """``python -W error::RuntimeWarning -m specvar.cli argv`` in a fresh
+    process: (exit code, parsed stdout or None, stderr)."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "specvar.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    doc = json.loads(proc.stdout) if proc.stdout.strip() else None
+    return proc.returncode, doc, proc.stderr
+
+
+def json_leaves(value, path=""):
+    """(path, value) for every number, string, boolean and null of a parsed
+    JSON value, in document order."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from json_leaves(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from json_leaves(item, f"{path}[{i}]")
+    else:
+        yield path, value
 
 
 @pytest.fixture()
@@ -458,6 +488,50 @@ class TestDeterminism:
         payload = json.dumps(rest, sort_keys=True, separators=(",", ":"), allow_nan=False)
         assert doc["determinism_hash"] == hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
+    def test_blas_threads_keep_decisions_and_numbers(self, tmp_path):
+        # from n = 128 some products (U^T H U, U diag(y) U^T) differ in the
+        # last bits between one and two OpenBLAS threads, so the hash may
+        # differ; the decisions may not, and every number agrees to 1e-12
+        # relative.  The oracle's quotients cancel terms of size 2 |<Y, W>| / t,
+        # so its two numbers are relative to 2 ||Y|| ||H|| / t_min.
+        rng = key_rng(24, 11)
+        n = 200
+        lam = np.sort(rng.uniform(0.5, 1.8, size=n) * rng.choice([-1.0, 1.0], size=n))[::-1]
+        lam[10:13] = lam[10]  # one tied cluster of three
+        x, _ = matrix_with_spectrum(rng, lam)
+        h = random_symmetric(rng, n)
+        xp = write_json_matrix(tmp_path / "x.json", x, flat_n=n)
+        hp = write_json_matrix(tmp_path / "h.json", h, flat_n=n)
+        jobs = {
+            command: ["--command", command, "--matrix", xp, "--direction", hp,
+                      "--theta", '{"name":"mcp","a":2,"c":1}', "--gamma", "0.5",
+                      "--probe-samples", "16"]
+            for command in ("SSUB", "PROX")
+        }
+        for command, argv in jobs.items():
+            runs = []
+            for threads in ("1", "2"):
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+                code, doc, err = run_strict(argv, env)
+                assert code == 0, (command, threads, err)
+                runs.append(doc)
+            a, b = runs
+            if a["eigen"]["blocks"] != b["eigen"]["blocks"]:
+                assert a["eigen"]["ambiguous"] or b["eigen"]["ambiguous"], command
+                continue
+            assert len(a["eigen"]["blocks"]) == n - 2, command  # the tied cluster is found
+            y = np.asarray(a["outputs"].get("y", 0.0))  # PROX has no oracle
+            oracle_scale = 2.0 * np.linalg.norm(y) * np.linalg.norm(h) / 1e-4
+            pairs = zip(json_leaves({k: a[k] for k in ("eigen", "outputs")}),
+                        json_leaves({k: b[k] for k in ("eigen", "outputs")}))
+            for (path, u), (other, w) in pairs:
+                assert path == other and type(u) is type(w), (command, path, u, w)
+                if not isinstance(u, float):  # decisions, "+inf" and nulls
+                    assert u == w, (command, path, u, w)
+                    continue
+                scale = oracle_scale if path.startswith(".outputs.oracle_") else max(abs(u), abs(w))
+                assert abs(u - w) <= 1e-12 * scale, (command, path, u, w)
+
     def test_out_file_round_trips(self, flagship_args, tmp_path, capsys):
         out = tmp_path / "report.json"
         code, doc, _ = run_cli(flagship_args + ["--out", str(out)], capsys)
@@ -777,6 +851,38 @@ class TestFuzz:
         )
         assert proc.returncode == 0, proc.stderr
         assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_point_support_past_the_float_maximum(self, tmp_path):
+        # smooth_sep's dg = y . dd passes the float maximum in its partial
+        # sums: numpy warned in matmul and the CLI exited 2 naming dg as
+        # non-finite, though dg = 1.7e308 (dd_0 + dd_1) + 1.6e308 dd_2 = 3.3e307
+        x = write_json_matrix(tmp_path / "x.json", np.diag([1.7e308, 1.7e308, 1.6e308]).tolist())
+        h = write_json_matrix(tmp_path / "h.json", SPAN_H)
+        code, doc, err = run_strict(["--command", "SUBDERIV", "--matrix", x, "--direction", h,
+                                     "--theta", '{"name":"smooth_sep","coeff":1}'])
+        assert code == 0 and err == "", err
+        assert doc["outputs"]["dg"] == pytest.approx(3.3e307, rel=1e-14)
+
+    @pytest.mark.parametrize("command", ["SUBDERIV", "CRITCONE", "SSUB"])
+    def test_spectrum_spanning_past_the_float_maximum(self, command, tmp_path):
+        # eigenvalues 3.4e308 apart: their difference overflowed in
+        # OrderStat's active set and in the rotation's gaps, and -W error
+        # ended in a traceback; an infinite gap is no tie and a zero
+        # divided difference, so the top eigenvalue's calculus is unchanged
+        x = write_json_matrix(tmp_path / "x.json", np.diag([1.7e308, 0.0, -1.7e308]).tolist())
+        h = write_json_matrix(tmp_path / "h.json", SPAN_H)
+        code, doc, err = run_strict(["--command", command, "--matrix", x, "--direction", h,
+                                     "--theta", '{"name":"order_stat","i":1}',
+                                     "--probe-samples", "8"])
+        assert code == 0 and err == "", err
+        out = doc["outputs"]
+        if command == "SUBDERIV":
+            assert out["dg"] == 0.3
+        elif command == "CRITCONE":
+            assert out["in_critical_cone"] is out["definitional_member"] is True
+        else:
+            assert out["dg"] == 0.3 and out["in_critical_cone"] is True
+            assert out["theta_d2"] == 0.0 and out["d2"] == pytest.approx(2.0 / 1.7e308, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("role", ["matrix", "direction"])
     def test_overflowing_asymmetry_exits_two(self, role, tmp_path):
