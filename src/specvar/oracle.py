@@ -251,6 +251,11 @@ def numeric_second_subderivative(
         t = probe.t_grid[k]
         rad = probe.radius * t ** 1.5
         fv, inner = _level(f, x, w, t, rad, probe.samples, probe.seed, k, v)
+        if np.all(fv == f0) and np.any(inner != 0.0):
+            raise OracleError(
+                f"quotient oracle cannot resolve the step t={t:g} at f(x)={f0:g}: every "
+                "f(x + t w') equals f(x) while some <v, w'> is not 0"
+            )
         q = _masked((fv - f0 - t * inner) / (t * t / 2.0), fv)
         # argmin keeps the first of equal minima, as a strict < scan does
         return ProbeLevel(t=t, at_w=ExtReal(q[0]), minimum=ExtReal(q[np.argmin(q)]))
@@ -451,12 +456,15 @@ def numeric_prox(
     best_z = None
     best_v = math.inf
     for z0 in starts:
-        res = minimize(
-            obj,
-            z0,
-            method="Powell",
-            options={"xtol": 1e-10, "ftol": 1e-12, "maxiter": 2000},
-        )
+        # near the float maximum Powell's line search overflows; such a
+        # search ends at a non-finite objective, which is never kept
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = minimize(
+                obj,
+                z0,
+                method="Powell",
+                options={"xtol": 1e-10, "ftol": 1e-12, "maxiter": 2000},
+            )
         if float(res.fun) < best_v:
             best_v = float(res.fun)
             best_z = np.asarray(res.x)

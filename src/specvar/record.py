@@ -1,7 +1,8 @@
 """Immutable records written as plain classes.
 
-A record lists its fields, in constructor order, in ``_fields`` (and in
-``__slots__`` too, unless a cached_property needs an instance dict) and
+A record lists its fields in ``_fields``, its constructor's inputs first
+and in order, then any the constructor derives from them (and in
+``__slots__`` too, unless a cached_property needs an instance dict), and
 writes its own ``__init__``, which sets the fields through ``_init``.
 After that, assignment and deletion raise AttributeError; the package's
 own later writes (a cached property, ``SubgradientTriple.checked``) go

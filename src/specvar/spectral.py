@@ -18,14 +18,16 @@ The exported pieces:
 * the second semiderivative on the smooth branch,
 * the proximal map and its directional derivative.
 
-Conventions.  Subgradient data for the lift is carried as a triple: the raw
-weight vector y (one weight per eigenvector column, in eigenvalue order),
-its blockwise nonincreasing rearrangement v, the EigenSystem of U, and the
-embedded matrix U Diag(y) U^T, built when first read.  The penalty-level
-second subderivative is evaluated at the sorted pair (v, eigenvalue
-directional derivative); the cluster curvature correction uses the raw y.
-Mixing these up breaks instances with repeated eigenvalues, so the triple
-keeps both vectors side by side.
+Conventions.  Subgradient data for the lift is carried as a triple built
+from two inputs: the raw weight vector y (one weight per eigenvector
+column, in eigenvalue order) and the EigenSystem of U.  Its blockwise
+nonincreasing rearrangement v and the embedded matrix U Diag(y) U^T are
+derived from them when first read, so no copy of the subgradient can
+disagree with another.  The penalty-level second subderivative is
+evaluated at the sorted pair (v, eigenvalue directional derivative); the
+cluster curvature correction uses the raw y.  Mixing these up breaks
+instances with repeated eigenvalues, so the triple keeps both vectors side
+by side.
 
 The second subderivative is reported as +infinity off the critical cone
 even when only a Fan gap fails and the penalty-level term is finite;
@@ -39,7 +41,8 @@ is chosen only in ``eig``: a caller who wants another one passes it there.
 A function of X and a triple reuses the triple's EigenSystem for a matrix
 X that ``eig`` would decompose into exactly it (same symmetrized entries,
 default width) and, for an equal penalty, the set v was checked against, so
-X is decomposed and v checked once; a triple built by hand carries neither.
+X is decomposed and v checked once; a triple built by hand carries its
+EigenSystem but no checked set.
 
 ``eig``'s clustering is the one tie decision: every penalty call but the
 value and the prox reads the spectrum at ``es.position_means``, where a
@@ -75,7 +78,6 @@ from .symmat import (
 from .symfun import OrderStat, SubgradientSet, SymmetricFunction, _in_cone, spec_to_json
 
 PROX_DIR_TOL = 1e-4
-SEMIDERIV_CHECK_RTOL = 1e-8  # semiderivative vs general d2 at the gradient, in the tests
 FAN_TOL = 1e-8  # a cluster's Fan gap, relative to ||y_m||_2 ||Ht_mm||_F
 DEFINITIONAL_CONE_TOL = 1e-7  # |dg(X)(H) - <Y, H>| of a critical H, in CRITCONE and VERIFY
 
@@ -85,7 +87,7 @@ def _as_eigensystem(x, triple: SubgradientTriple | None = None) -> EigenSystem:
     it, else eig(x)."""
     if isinstance(x, EigenSystem):
         return x
-    es = getattr(triple, "es", None)
+    es = None if triple is None else triple.es
     if es is not None and es.cluster_tol == tie_width(float(max(es.lam[0], -es.lam[-1]))):
         e = es.matrix.entries
         a = x.entries if isinstance(x, SymMatrix) else x
@@ -133,30 +135,34 @@ def spectral_value(theta: SymmetricFunction, x) -> float:
 
 
 class SubgradientTriple(Record):
-    """A subgradient of the lift in both coordinates.
+    """A subgradient of the lift in both coordinates, built from y and es.
 
-    y: weight per eigenvector column, in eigenvalue order;
-    v: blockwise nonincreasing rearrangement of y
-       (y[symmat.block_sort_order(y, bounds)]);
-    es: the EigenSystem y is written in (None if built by hand), which the
-        (X, triple) functions reuse;
+    y: weight per eigenvector column, in eigenvalue order (a read-only
+       copy of the caller's vector);
+    es: the EigenSystem y is written in, which the (X, triple) functions
+        reuse;
+    v: blockwise nonincreasing rearrangement of y along es's clusters
+       (``block_sort_permutation``, read-only), derived on first read;
+    matrix: the embedded subgradient U Diag(y) U^T, derived on first read.
+        With ``es.u`` and ``es.matrix`` that is three n x n arrays: keep
+        reports, not triples;
     checked: (penalty, its subdifferential at es, ``_subgradients``) that
         v was checked against, reused for an equal penalty at ``es``.  Only
-        ``spectral_subgradient`` sets it, and it freezes v: a triple built
-        by hand carries None and is checked;
-    matrix: the embedded subgradient U Diag(y) U^T, given by hand or built
-        from ``es`` when first read.  With ``es.u`` and ``es.matrix`` that
-        is three n x n arrays: keep reports, not triples.
+        ``spectral_subgradient`` sets it: a triple built by hand carries
+        None and is checked.
     """
 
-    _fields = ("y", "v", "es", "checked")
+    _fields = ("y", "es", "checked")
 
-    def __init__(self, y, v, matrix: SymMatrix | None = None, es: EigenSystem | None = None):
-        if matrix is None and es is None:
-            raise TypeError("a SubgradientTriple needs its matrix or its EigenSystem")
-        self._init(y, v, es, None)
-        if matrix is not None:
-            object.__setattr__(self, "matrix", matrix)  # so the cached_property never runs
+    def __init__(self, y, es: EigenSystem):
+        y = np.array(y, dtype=float)
+        if y.shape != (es.n,):
+            raise ValueError(f"subgradient vector must have length {es.n}, got {y.shape}")
+        self._init(_frozen(y), es, None)
+
+    @cached_property
+    def v(self) -> np.ndarray:
+        return _frozen(block_sort_permutation(self.y, self.es))
 
     @cached_property
     def matrix(self) -> SymMatrix:
@@ -173,18 +179,15 @@ def spectral_subgradient(
     When y is omitted the canonical vertex of the penalty subdifferential at
     the spectrum is used, which makes downstream reports deterministic.
     Membership is checked on the blockwise sorted rearrangement; a failure
-    raises InvalidSubgradientError.
+    raises InvalidSubgradientError.  A y of the wrong length raises
+    ValueError before the penalty reads the spectrum.
     """
     es = _as_eigensystem(x)
-    if y is not None:
-        y = np.asarray(y, dtype=float)
-        if y.shape != (es.n,):
-            raise ValueError(f"subgradient vector must have length {es.n}, got {y.shape}")
+    triple = None if y is None else SubgradientTriple(y, es)
     s = _subgradients(theta, es)
-    y = s.canonical_vertex() if y is None else y
-    v = _frozen(block_sort_permutation(y, es))
-    theta._checked(s, v)
-    triple = SubgradientTriple(y=y, v=v, es=es)
+    if triple is None:
+        triple = SubgradientTriple(s.canonical_vertex(), es)
+    theta._checked(s, triple.v)
     object.__setattr__(triple, "checked", (theta, s))
     return triple
 
@@ -303,8 +306,9 @@ class SecondOrderReport(Record):
     so that a finite d2 always certifies criticality.  Callers may keep
     many reports, so a report holds only what it cannot derive:
     ``direction`` is the caller's array (not a copy), ``spectrum`` the
-    EigenSystem's read-only eigenvalues, ``penalty`` the caller's penalty,
-    and the clusters are one bounds array, cluster m
+    EigenSystem's read-only eigenvalues, ``y`` the triple's read-only
+    weights, ``penalty`` the caller's penalty, and the clusters are one
+    bounds array, cluster m
     covering block_bounds[m:m + 2].  ``theta``, ``cluster_values`` and
     ``v`` are computed on access by the functions that produced them
     (``spec_to_json``, ``symmat.cluster_means``, ``symmat.block_sort_order``)."""
@@ -392,7 +396,7 @@ def spectral_second_subderivative(
         spectrum=es.lam,
         block_bounds=es.bounds,
         ambiguous_clustering=es.ambiguous,
-        y=triple.y.copy(),
+        y=triple.y,
         value=theta.value(es.lam),
         eig_dir=rot.dd,
         dg=dg,

@@ -325,10 +325,6 @@ class SymmetricFunction:
         x = _vec(x)
         return self._gradient(x, _tie_tol(x))
 
-    def hessian_diagonal(self, x) -> np.ndarray:
-        x = _vec(x)
-        return self._hessian_diagonal(x, _tie_tol(x))
-
     def _gradient(self, x: np.ndarray, tol: float) -> np.ndarray:
         """For polyhedral penalties: the vertex of a one-vertex hull."""
         if self.polyhedral:

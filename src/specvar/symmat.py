@@ -16,7 +16,7 @@ Eigenvalues are kept in nonincreasing order.  Cluster ("block") m covers the
 contiguous index range ``bounds[m]:bounds[m + 1]`` and has representative
 value ``mu[m]``; indices into eigenvalues and blocks are 0-based
 throughout.  The clustering width is chosen in ``eig`` and nowhere else;
-the EigenSystem records it as ``cluster_tol``.
+the EigenSystem clusters at it and records it as ``cluster_tol``.
 """
 from __future__ import annotations
 
@@ -27,9 +27,6 @@ import numpy as np
 from .errors import EigenSolveError
 from .record import Record
 
-SYMMETRY_RTOL = 1e-12
-ORTHOGONALITY_TOL = 1e-10
-RECONSTRUCTION_RTOL = 1e-9
 CLUSTER_RTOL = 1e-8
 
 
@@ -80,34 +77,36 @@ def tie_width(scale: float) -> float:
 
 
 class EigenSystem(Record):
-    """Ordered eigendecomposition with eigenvalue clustering.
+    """Ordered eigendecomposition with eigenvalue clustering, built from
+    the matrix, its eigenvectors, its eigenvalues and the clustering width.
 
     ``u`` holds orthonormal eigenvectors as columns, ``lam`` the
-    nonincreasing eigenvalues.  ``bounds``, the one representation of the
-    clusters of numerically equal eigenvalues, is an int array: cluster m
-    covers bounds[m]:bounds[m + 1] (``blocks``, ``r`` and ``block_ids`` are
-    read off it) and ``mu[m]`` is its mean, strictly decreasing in m.
+    nonincreasing eigenvalues.  The rest is derived here: consecutive
+    eigenvalues whose gap is at most ``cluster_tol`` join one cluster, and
+    ``bounds``, the one representation of the clusters, is an int array:
+    cluster m covers bounds[m]:bounds[m + 1] (``blocks``, ``r`` and
+    ``block_ids`` are read off it).  ``mu[m]`` is its mean, strictly
+    decreasing in m, and ``lam`` itself at a distinct spectrum.
     ``ambiguous`` is set when some consecutive eigenvalue gap falls in
     [0.5 * cluster_tol, 2 * cluster_tol], i.e. the clustering was a close
     call at the given tolerance.
     """
 
-    _fields = ("matrix", "u", "lam", "bounds", "mu", "cluster_tol", "ambiguous")
+    _fields = ("matrix", "u", "lam", "cluster_tol", "bounds", "mu", "ambiguous")
 
-    def __init__(
-        self,
-        matrix: SymMatrix,
-        u: np.ndarray,
-        lam: np.ndarray,
-        bounds: np.ndarray,
-        mu: np.ndarray,
-        cluster_tol: float,
-        ambiguous: bool = False,
-    ):
-        self._init(
-            matrix, _frozen(u), _frozen(lam), _frozen(bounds, np.intp), _frozen(mu),
-            cluster_tol, ambiguous,
-        )
+    def __init__(self, matrix: SymMatrix, u: np.ndarray, lam: np.ndarray, cluster_tol: float):
+        cluster_tol = float(cluster_tol)
+        if cluster_tol <= 0.0:
+            raise ValueError("cluster_tol must be positive")
+        lam = _frozen(lam)
+        n = lam.shape[0]
+        gaps = lam[:-1] - lam[1:]
+        ambiguous = bool(((gaps >= 0.5 * cluster_tol) & (gaps <= 2.0 * cluster_tol)).any())
+        cuts = np.flatnonzero(gaps > cluster_tol) + 1
+        single = cuts.size == n - 1  # then each cluster mean is its eigenvalue
+        bounds = _singletons(n) if single else _frozen(np.concatenate([[0], cuts, [n]]), np.intp)
+        mu = lam if single else _frozen(cluster_means(lam, bounds))
+        self._init(matrix, _frozen(u), lam, cluster_tol, bounds, mu, ambiguous)
 
     @property
     def n(self) -> int:
@@ -168,8 +167,8 @@ def _singletons(n: int) -> np.ndarray:
 
 
 def eig(x, cluster_tol: float | None = None) -> EigenSystem:
-    """Ordered eigendecomposition of a symmetric matrix with greedy
-    clustering of nearby eigenvalues.
+    """Ordered eigendecomposition of a symmetric matrix, clustered by the
+    EigenSystem at ``cluster_tol``, by default ``tie_width(||X||_2)``.
 
     Consecutive eigenvalues whose gap is at most ``cluster_tol`` are joined
     into one cluster.  A gap within a factor of two of the tolerance flags
@@ -182,26 +181,9 @@ def eig(x, cluster_tol: float | None = None) -> EigenSystem:
         raise EigenSolveError(
             f"symmetric eigendecomposition failed for n={mat.n}: {exc}"
         ) from exc
-    norm = float(max(-w[0], w[-1]))  # ||X||_2, w ascending
-    cluster_tol = tie_width(norm) if cluster_tol is None else float(cluster_tol)
-    if cluster_tol <= 0.0:
-        raise ValueError("cluster_tol must be positive")
-    lam = w[::-1].copy()
-    u = v[:, ::-1].copy()
-    gaps = lam[:-1] - lam[1:]
-    ambiguous = bool(((gaps >= 0.5 * cluster_tol) & (gaps <= 2.0 * cluster_tol)).any())
-    cuts = np.flatnonzero(gaps > cluster_tol) + 1
-    single = cuts.size == mat.n - 1  # then each cluster mean is its eigenvalue
-    bounds = _singletons(mat.n) if single else np.concatenate([[0], cuts, [mat.n]])
-    return EigenSystem(
-        matrix=mat,
-        u=u,
-        lam=lam,
-        bounds=bounds,
-        mu=lam if single else cluster_means(lam, bounds),
-        cluster_tol=cluster_tol,
-        ambiguous=ambiguous,
-    )
+    if cluster_tol is None:
+        cluster_tol = tie_width(float(max(-w[0], w[-1])))  # ||X||_2, w ascending
+    return EigenSystem(mat, v[:, ::-1].copy(), w[::-1].copy(), cluster_tol)
 
 
 def pinv_shift(es: EigenSystem, m: int) -> SymMatrix:

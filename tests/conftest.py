@@ -252,12 +252,4 @@ def rotate_within_blocks(rng: np.random.Generator, es: EigenSystem) -> EigenSyst
     for b in es.blocks:
         if len(b) > 1:
             u[:, b] = u[:, b] @ random_orthogonal(rng, len(b))
-    return EigenSystem(
-        matrix=es.matrix,
-        u=u,
-        lam=es.lam,
-        bounds=es.bounds,
-        mu=es.mu,
-        cluster_tol=es.cluster_tol,
-        ambiguous=es.ambiguous,
-    )
+    return EigenSystem(es.matrix, u, es.lam, es.cluster_tol)

@@ -11,7 +11,15 @@ import warnings
 import numpy as np
 import pytest
 
-from specvar import cli, matrix_with_spectrum, random_symmetric, spectral
+from specvar import (
+    OrderStat,
+    cli,
+    matrix_with_spectrum,
+    random_symmetric,
+    spectral,
+    spectral_second_subderivative,
+    spectral_subgradient,
+)
 from specvar.cli import main
 from conftest import key_rng
 
@@ -868,21 +876,45 @@ class TestFuzz:
         # eigenvalues 3.4e308 apart: their difference overflowed in
         # OrderStat's active set and in the rotation's gaps, and -W error
         # ended in a traceback; an infinite gap is no tie and a zero
-        # divided difference, so the top eigenvalue's calculus is unchanged
-        x = write_json_matrix(tmp_path / "x.json", np.diag([1.7e308, 0.0, -1.7e308]).tolist())
+        # divided difference, so the top eigenvalue's calculus is unchanged.
+        # SSUB's quotient oracle cannot resolve its steps there (f(X + tW)
+        # rounds to f(X)), so it exits 2 naming the oracle, where it printed
+        # an estimate of -6000; the closed form is checked without a probe
+        rows = np.diag([1.7e308, 0.0, -1.7e308])
+        x = write_json_matrix(tmp_path / "x.json", rows.tolist())
         h = write_json_matrix(tmp_path / "h.json", SPAN_H)
         code, doc, err = run_strict(["--command", command, "--matrix", x, "--direction", h,
                                      "--theta", '{"name":"order_stat","i":1}',
                                      "--probe-samples", "8"])
+        if command == "SSUB":
+            assert code == 2 and doc is None, err
+            assert "quotient oracle cannot resolve" in err
+            assert "Traceback" not in err and "Warning" not in err
+            theta = OrderStat(rank=1)
+            triple = spectral_subgradient(theta, rows)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                rep = spectral_second_subderivative(theta, rows, triple, np.array(SPAN_H))
+            assert rep.dg == 0.3 and rep.in_critical_cone is True
+            assert float(rep.theta_d2) == 0.0
+            assert float(rep.d2) == pytest.approx(2.0 / 1.7e308, rel=1e-9, abs=0.0)
+            return
         assert code == 0 and err == "", err
         out = doc["outputs"]
         if command == "SUBDERIV":
             assert out["dg"] == 0.3
-        elif command == "CRITCONE":
-            assert out["in_critical_cone"] is out["definitional_member"] is True
         else:
-            assert out["dg"] == 0.3 and out["in_critical_cone"] is True
-            assert out["theta_d2"] == 0.0 and out["d2"] == pytest.approx(2.0 / 1.7e308, rel=1e-9, abs=0.0)
+            assert out["in_critical_cone"] is out["definitional_member"] is True
+
+    def test_numeric_prox_near_the_float_maximum_runs_clean(self, tmp_path):
+        # Powell's line search overflowed in scipy at a spectrum of 1e308:
+        # numpy warned, and -W error ended in a traceback with exit 1
+        pytest.importorskip("scipy")
+        x = write_json_matrix(tmp_path / "x.json", np.diag([1e308, 1.0]).tolist())
+        code, doc, err = run_strict(["--command", "PROX", "--matrix", x,
+                                     "--theta", '{"name":"eig_gap"}', "--gamma", "0.5"])
+        assert code == 0 and err == "", err
+        assert doc["outputs"]["prox_eigenvalues"] == [1e308, 1.0]
 
     @pytest.mark.parametrize("role", ["matrix", "direction"])
     def test_overflowing_asymmetry_exits_two(self, role, tmp_path):

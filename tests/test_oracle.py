@@ -139,6 +139,20 @@ class TestSecondOrderProbe:
         mins = [float(l.minimum) for l in res.levels]
         assert mins[-1] > 100 * mins[0] > 0
 
+    def test_step_below_the_resolution_of_f_is_refused(self):
+        # 1e300 + 1e-3 rounds to 1e300: every quotient read -2 <v, w'> / t,
+        # an estimate of -2000 for a linear f, where the truth is 0
+        f = lambda z: float(np.sum(z))
+        x, v, w = np.array([1e300]), np.array([1.0]), np.array([1.0])
+        with pytest.raises(OracleError, match=r"t=0\.001 at f\(x\)=1e\+300"):
+            numeric_second_subderivative(f, x, v, w, QuotientProbe(samples=4))
+        # a flat f with v = 0 is resolved: every quotient is 0
+        res = numeric_second_subderivative(lambda z: 1e300, x, 0.0 * v, w, QuotientProbe(samples=4))
+        assert float(res.estimate) == 0.0
+        # at a resolvable scale the same linear f is exact up to rounding
+        res = numeric_second_subderivative(f, np.array([1.0]), v, w, QuotientProbe(samples=4))
+        assert abs(float(res.estimate)) < 1e-6
+
 
 class TestFirstOrderProbe:
     def test_smooth_matches_gradient(self):

@@ -41,7 +41,6 @@ from specvar import (
     spectral_value,
     subderivative_gap,
 )
-from specvar.spectral import SEMIDERIV_CHECK_RTOL
 from specvar.symfun import CONE_RTOL, SUBGRADIENT_TOL, ProxResult, SymmetricFunction, spec_to_json
 from specvar.symmat import block_sort_order, tie_width
 from conftest import (
@@ -57,6 +56,7 @@ from conftest import (
 )
 
 OFFDIAG = np.array([[0.0, 1.0], [1.0, 0.0]])
+SEMIDERIV_CHECK_RTOL = 1e-8  # semiderivative vs general d2 at the gradient
 OFFDIAG_4 = np.kron(np.eye(2), OFFDIAG)
 
 
@@ -331,7 +331,7 @@ class TestSecondSubderivative:
         # spectral_subgradient would refuse y; the d2 checks it again itself
         x = np.diag([2.0, 1.0])
         y = np.array([0.0, 1.0])
-        triple = SubgradientTriple(y=y, v=y, matrix=SymMatrix(np.diag(y)))
+        triple = SubgradientTriple(y, eig(x))
         with pytest.raises(InvalidSubgradientError):
             spectral_second_subderivative(OrderStat(rank=1), x, triple, OFFDIAG)
         with pytest.raises(InvalidSubgradientError):
@@ -506,7 +506,7 @@ class TestOneDecomposition:
             x = np.array(es.matrix.entries)
             triple = spectral_subgradient(theta, x, y)
             assert triple.es is not None
-            hand = SubgradientTriple(y=triple.y, v=triple.v, matrix=triple.matrix)
+            hand = SubgradientTriple(triple.y, eig(x))
             for name, call in pair_calls(theta, es, h).items():
                 want = call(x, triple)
                 assert call(eig(x), triple) == want, (kind, k, name)
@@ -634,7 +634,7 @@ class TestFanGaps:
         rng = key_rng(19, 2)
         x, _ = matrix_with_spectrum(rng, np.array([0.5, 0.5 - 1e-4, -0.7]))
         theta, y = OrderStat(rank=1), np.array([0.3, 0.7, 0.0])
-        triple = SubgradientTriple(y=y, v=y, es=eig(x))
+        triple = SubgradientTriple(y, eig(x))
         wide = eig(x, cluster_tol=1e-3)
         assert wide.r == 2 and eig(x).r == 3
         for top, gap in (([1.0, 0.0], 0.4), ([0.0, 1.0], 0.0)):
@@ -711,7 +711,7 @@ class TestOnePerPoint:
                 triple, n = count(lambda: spectral_subgradient(theta, x, given))
                 # a triple from spectral_subgradient carries the set it was
                 # checked against; a hand-built one is checked again
-                by_hand = SubgradientTriple(y=triple.y, v=triple.v, es=triple.es)
+                by_hand = SubgradientTriple(triple.y, triple.es)
                 counts = [n] + [
                     count(call)[1]
                     for call in (
@@ -797,8 +797,8 @@ class TestOnePerPoint:
                 leading_eig_second_subderivative(point, 2, top, h)
             # an equal penalty, not the same object, reuses the set
             assert spectral_second_subderivative(OrderStat(rank=1), point, top, h).d2.is_finite
-        # a copy with another v carries no set, and the checked v is read-only
-        moved = SubgradientTriple(top.y, np.array([0.0, 1.0, 0.0]), es=top.es)
+        # a triple with other weights carries no set, and the checked v is read-only
+        moved = SubgradientTriple(np.array([0.0, 1.0, 0.0]), top.es)
         assert moved.checked is None
         with pytest.raises(InvalidSubgradientError):
             spectral_second_subderivative(OrderStat(rank=1), x, moved, h)
@@ -817,13 +817,75 @@ class TestOnePerPoint:
     def test_hand_built_triples(self):
         x = np.diag([2.0, 1.0, -0.5])
         y = np.array([1.0, 0.0, 0.0])
-        mat = SymMatrix(np.diag(y))
-        assert SubgradientTriple(y=y, v=y, matrix=mat).matrix is mat
-        lazy = SubgradientTriple(y=y, v=y, es=eig(x))
+        lazy = SubgradientTriple(y, eig(x))
         want = spectral_subgradient(OrderStat(rank=1), x, y).matrix.entries
         assert lazy.matrix.entries.tobytes() == want.tobytes()
         with pytest.raises(TypeError):
-            SubgradientTriple(y=y, v=y)
+            SubgradientTriple(y)
+
+
+class TestTripleFromItsData:
+    """A triple is built from y and its EigenSystem alone: v and Y are
+    derived from them, so no copy of the subgradient can disagree with
+    another."""
+
+    X = np.diag([3.0, 2.0, 2.0])
+    Y = np.array([0.0, 0.3, 0.7])  # unsorted along the tied pair
+    H = np.array([[0.3, 1.0, 0.0], [1.0, -0.2, 0.5], [0.0, 0.5, 0.1]])
+
+    def test_hand_built_triple_matches_spectral_subgradient(self):
+        # a hand-built triple that carried v = y read a Fan gap of -0.149,
+        # against Fan's inequality, and one that carried its own matrix fed
+        # it to the definitional test and y to the structural one
+        theta = OrderStat(rank=2)
+        hand = SubgradientTriple(self.Y, eig(self.X))
+        ref = spectral_subgradient(theta, self.X, self.Y)
+        assert hand.v.tolist() == ref.v.tolist() == [0.0, 0.7, 0.3]
+        got = spectral_second_subderivative(theta, self.X, hand, self.H)
+        want = spectral_second_subderivative(theta, self.X, ref, self.H)
+        assert report_bits(got) == report_bits(want)
+        assert (got.fan_gaps >= 0.0).all() and got.fan_gaps[1] == pytest.approx(0.269, abs=1e-3)
+        member = critical_cone_member(theta, self.X, ref, self.H)
+        assert critical_cone_member(theta, self.X, hand, self.H) is member is got.in_critical_cone
+        cone = spectral._cone_tests(theta, self.X, ref, self.H)
+        assert spectral._cone_tests(theta, self.X, hand, self.H) == cone
+        assert cone[0] is member
+
+    def test_weights_are_a_read_only_copy(self):
+        theta = OrderStat(rank=2)
+        builds = (
+            lambda y: spectral_subgradient(theta, self.X, y),
+            lambda y: SubgradientTriple(y, eig(self.X)),
+        )
+        for build in builds:
+            want = build(self.Y)
+            y = self.Y.copy()
+            triple = build(y)
+            y[:] = [1.0, 0.0, 0.0]  # the caller's vector changes no result
+            got = spectral_second_subderivative(theta, self.X, triple, self.H)
+            ref = spectral_second_subderivative(theta, self.X, want, self.H)
+            assert report_bits(got) == report_bits(ref)
+            assert triple.matrix.entries.tobytes() == want.matrix.entries.tobytes()
+            assert triple.y.tolist() == self.Y.tolist()
+            for name in ("y", "v"):
+                with pytest.raises(ValueError):
+                    getattr(triple, name)[0] = 1.0
+                with pytest.raises(AttributeError):
+                    setattr(triple, name, y)
+
+    def test_wrong_length_is_one_error(self):
+        # y's length is checked before the penalty's hypotheses: OrderStat(2)
+        # is unsupported at a rank that ends a tied cluster
+        for x in (self.X, np.diag([2.0, 2.0, 0.0])):
+            es = eig(x)
+            with pytest.raises(ValueError) as hand:
+                SubgradientTriple([1.0, 0.0], es)
+            with pytest.raises(ValueError) as lifted:
+                spectral_subgradient(OrderStat(rank=2), es, [1.0, 0.0])
+            assert str(hand.value) == str(lifted.value)
+            assert str(hand.value) == "subgradient vector must have length 3, got (2,)"
+        with pytest.raises(UnsupportedPointError):
+            spectral_subgradient(OrderStat(rank=2), np.diag([2.0, 2.0, 0.0]), [0.0, 1.0, 0.0])
 
 
 class TestHugeDirection:

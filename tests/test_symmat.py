@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specvar import (
+    EigenSystem,
     SymMatrix,
     as_sym_array,
     block_sort_permutation,
     eig,
+    random_orthogonal,
     random_symmetric,
 )
 from specvar.symmat import block_sort_order, cluster_means, fan_gap, pinv_shift, tie_width
@@ -149,6 +151,25 @@ class TestEig:
     def test_rejects_bad_cluster_tol(self):
         with pytest.raises(ValueError):
             eig(np.eye(2), cluster_tol=0.0)
+
+    def test_constructor_clusters_as_eig_does(self):
+        # an EigenSystem is built from its matrix, basis, eigenvalues and
+        # width; any orthonormal basis of each cluster gives eig's clusters
+        rng = key_rng(63)
+        cases = [eig(clustered_matrix(rng, sizes, gap=0.5)) for sizes in ((2, 1, 3), (4,), (1,) * 5)]
+        cases.append(eig(np.diag([1.0, 1.0 - 1.75e-3, -1.0]), cluster_tol=1e-3))
+        assert cases[-1].ambiguous and cases[2].r == cases[2].n
+        for es in cases:
+            u = es.u.copy()
+            for b in es.blocks:
+                u[:, b] = u[:, b] @ random_orthogonal(rng, len(b))
+            got = EigenSystem(es.matrix, u, es.lam, es.cluster_tol)
+            assert got.bounds.tobytes() == es.bounds.tobytes()
+            assert got.mu.tobytes() == es.mu.tobytes()
+            assert got.ambiguous is es.ambiguous and got.lam is es.lam
+            assert (got.mu is got.lam) == (es.mu is es.lam) == (es.r == es.n)
+        with pytest.raises(ValueError):
+            EigenSystem(es.matrix, u, es.lam, 0.0)
 
 
 class TestClusterMeans:
