@@ -37,7 +37,6 @@ import numpy as np
 
 from . import __version__
 from .errors import InvalidSubgradientError, UnsupportedPointError
-from .extreal import ExtReal
 from .oracle import ProbeResult, QuotientProbe, numeric_second_subderivative
 from .spectral import (
     DEFINITIONAL_CONE_TOL,
@@ -173,12 +172,6 @@ def _parse_t_grid(text: str) -> tuple[float, ...]:
 
 
 def _jsonable(value):
-    if isinstance(value, ExtReal):
-        return value.to_json()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

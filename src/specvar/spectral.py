@@ -34,15 +34,17 @@ even when only a Fan gap fails and the penalty-level term is finite;
 rotating a repeated eigenspace against the weights makes the true
 quotients blow up, and the finite-implies-critical invariant is kept.
 
-The functions of a point X take it either as a matrix, clustered by ``eig``
-at its default width, or as an EigenSystem; prox_directional_derivative
-clusters its perturbed points at the default width.  The clustering width
-is chosen only in ``eig``: a caller who wants another one passes it there.
-A function of X and a triple reuses the triple's EigenSystem for a matrix
-X that ``eig`` would decompose into exactly it (same symmetrized entries,
-default width) and, for an equal penalty, the set v was checked against, so
-X is decomposed and v checked once; a triple built by hand carries its
-EigenSystem but no checked set.
+The functions of a point X alone take it either as a matrix, clustered by
+``eig`` at its default width, or as an EigenSystem;
+prox_directional_derivative clusters its perturbed points at the default
+width.  The clustering width is chosen only in ``eig``: a caller who wants
+another one passes it there.  A function of X and a triple reads X as the
+triple's own point: its EigenSystem, one at the same width of bit-equal
+entries, or a matrix whose symmetrized entries are bit-equal to them, at
+whatever width the triple was clustered.  Any other X raises ValueError.
+So X is decomposed once, and v is checked once: for an equal penalty the
+set it was checked against is reused, while a triple built by hand carries
+no checked set.
 
 ``eig``'s clustering is the one tie decision: every penalty call but the
 value and the prox reads the spectrum at ``es.position_means``, where a
@@ -73,7 +75,6 @@ from .symmat import (
     block_sort_permutation,
     cluster_means,
     eig,
-    tie_width,
 )
 from .symfun import OrderStat, SubgradientSet, SymmetricFunction, _in_cone, spec_to_json
 
@@ -83,23 +84,29 @@ DEFINITIONAL_CONE_TOL = 1e-7  # |dg(X)(H) - <Y, H>| of a critical H, in CRITCONE
 
 
 def _as_eigensystem(x, triple: SubgradientTriple | None = None) -> EigenSystem:
-    """x itself, else the triple's EigenSystem if eig(x) would return exactly
-    it, else eig(x)."""
-    if isinstance(x, EigenSystem):
-        return x
-    es = None if triple is None else triple.es
-    if es is not None and es.cluster_tol == tie_width(float(max(es.lam[0], -es.lam[-1]))):
-        e = es.matrix.entries
-        a = x.entries if isinstance(x, SymMatrix) else x
-        # e is finite and symmetric, so an x equal to it is valid and is its
-        # own symmetrization; a SymMatrix is symmetrized already
-        if a is e or np.array_equal(a, e):
-            return es
-        if not isinstance(x, SymMatrix):
-            x = SymMatrix(x)  # validated and symmetrized once, for eig too
-            if np.array_equal(x.entries, e):
-                return es
-    return eig(x)
+    """x itself, else eig(x).  With a triple, the triple's EigenSystem, which
+    x must stand for: that EigenSystem, one at its width of bit-equal
+    entries, or a matrix whose validated symmetrization is bit-equal to
+    them.  Any other x raises ValueError, naming the width or the entries."""
+    if triple is None:
+        return x if isinstance(x, EigenSystem) else eig(x)
+    es = triple.es
+    if x is es:
+        return es
+    m = x.matrix if isinstance(x, EigenSystem) else x
+    a = m.entries if isinstance(m, SymMatrix) else m
+    e = es.matrix.entries
+    # e is finite and symmetric, so an x equal to it is valid and is its
+    # own symmetrization; a SymMatrix is symmetrized already, and any other
+    # x is validated as eig validates it
+    if not (a is e or np.array_equal(a, e)):
+        if isinstance(m, SymMatrix) or not np.array_equal(SymMatrix(m).entries, e):
+            raise ValueError("X's entries differ from those of its subgradient triple's point")
+    if isinstance(x, EigenSystem) and x.cluster_tol != es.cluster_tol:
+        raise ValueError(
+            f"X is clustered at width {x.cluster_tol!r}, its subgradient triple at {es.cluster_tol!r}"
+        )
+    return es
 
 
 def _subgradients(theta: SymmetricFunction, es: EigenSystem) -> SubgradientSet:
@@ -139,15 +146,15 @@ class SubgradientTriple(Record):
 
     y: weight per eigenvector column, in eigenvalue order (a read-only
        copy of the caller's vector);
-    es: the EigenSystem y is written in, which the (X, triple) functions
-        reuse;
+    es: the EigenSystem y is written in; the (X, triple) functions read
+        X as its point and raise ValueError at any other;
     v: blockwise nonincreasing rearrangement of y along es's clusters
        (``block_sort_permutation``, read-only), derived on first read;
     matrix: the embedded subgradient U Diag(y) U^T, derived on first read.
         With ``es.u`` and ``es.matrix`` that is three n x n arrays: keep
         reports, not triples;
     checked: (penalty, its subdifferential at es, ``_subgradients``) that
-        v was checked against, reused for an equal penalty at ``es``.  Only
+        v was checked against, reused for an equal penalty.  Only
         ``spectral_subgradient`` sets it: a triple built by hand carries
         None and is checked.
     """
@@ -226,16 +233,16 @@ def _at(x, h, triple: SubgradientTriple | None = None) -> _Rotated:
 
 
 def _cone(theta: SymmetricFunction, triple: SubgradientTriple, rot: _Rotated):
-    """The one critical cone decision at rot: (dg, critical, gaps, member).
+    """The one critical cone decision at rot, a rotation at triple.es: (dg,
+    critical, gaps, member).
 
-    v, y sorted along rot's clusters, is checked once (triple.checked serves
-    an equal penalty at triple.es).  ``critical`` is the penalty half,
-    ``_in_cone``'s test of dg = dtheta(lam)(dd) = <v, dd>; ``member`` adds
-    the Fan half, each cluster's gap within FAN_TOL ||y_m||_2 ||Ht_mm||_F
-    (no gap exceeds 2 ||y_m||_2 ||Ht_mm||_F)."""
-    es = rot.es
-    v = triple.v if es is triple.es else block_sort_permutation(triple.y, es)
-    if es is triple.es and triple.checked is not None and triple.checked[0] == theta:
+    triple.v is checked once: the set triple.checked holds serves an equal
+    penalty.  ``critical`` is the penalty half, ``_in_cone``'s test of dg =
+    dtheta(lam)(dd) = <v, dd>; ``member`` adds the Fan half, each cluster's
+    gap within FAN_TOL ||y_m||_2 ||Ht_mm||_F (no gap exceeds 2 ||y_m||_2
+    ||Ht_mm||_F)."""
+    es, v = rot.es, triple.v
+    if triple.checked is not None and triple.checked[0] == theta:
         s = triple.checked[1]
     else:
         s = theta._checked(_subgradients(theta, es), v)
@@ -434,13 +441,12 @@ def leading_eig_second_subderivative(x, i: int, triple: SubgradientTriple, h) ->
     The triple must be a valid order-statistic subgradient supported on the
     i-th cluster; the result agrees with the general machinery run on the
     matching order statistic."""
-    es = _as_eigensystem(x, triple)
-    if not 1 <= i <= es.r:
+    rot = _at(x, h, triple)
+    if not 1 <= i <= rot.es.r:
         raise UnsupportedPointError(
-            f"cluster index {i} out of range: the spectrum has {es.r} clusters"
+            f"cluster index {i} out of range: the spectrum has {rot.es.r} clusters"
         )
-    block = es.blocks[i - 1]
-    rot = _at(es, h)
+    block = rot.es.blocks[i - 1]
     member = _cone(OrderStat(rank=block.start + 1), triple, rot)[3]
     if np.any(np.abs(np.delete(triple.y, block)) > 1e-12):
         raise UnsupportedPointError(

@@ -695,17 +695,7 @@ def spec_from_json(data) -> SymmetricFunction:
         if name == "eig_gap":
             return EigGapMax()
         if name == "smooth_sep":
-            if "coeff" in data:
-                return SmoothSep(coeff=json_float(data["coeff"], "smooth_sep 'coeff'"))
-            coeffs = data.get("coeffs", 1.0)
-            coeffs = coeffs if isinstance(coeffs, list) else [coeffs]
-            coeffs = [json_float(c, "smooth_sep 'coeffs'") for c in coeffs]
-            if not coeffs or max(coeffs) > min(coeffs):
-                raise ValueError(
-                    "smooth_sep coefficients must be a single value: a non-uniform "
-                    "diagonal quadratic is not permutation invariant"
-                )
-            return SmoothSep(coeff=coeffs[0])
+            return SmoothSep(coeff=json_float(data["coeff"], "smooth_sep 'coeff'"))
     except KeyError as exc:
         raise ValueError(f"penalty {name!r} needs the field {exc.args[0]!r}") from None
     raise ValueError(f"unknown penalty name: {name!r}")

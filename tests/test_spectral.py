@@ -483,8 +483,9 @@ def pair_calls(theta, es, h):
 
 class TestOneDecomposition:
     """A triple remembers the EigenSystem it was written in, and the
-    functions of (X, triple) reuse it for a matrix X that eig would
-    decompose into exactly that EigenSystem."""
+    functions of (X, triple) read X as that EigenSystem's point: a matrix or
+    EigenSystem of other entries, or an EigenSystem at another width,
+    raises ValueError."""
 
     @pytest.mark.parametrize("kind", CRITICAL_KINDS)
     def test_one_eigh_per_subgradient_and_call(self, kind, eigh_calls):
@@ -512,11 +513,10 @@ class TestOneDecomposition:
                 assert call(eig(x), triple) == want, (kind, k, name)
                 assert call(x.copy(), hand) == want, (kind, k, name)
 
-    def test_triple_clustered_at_another_width_is_not_reused(self, eigh_calls):
-        # clustered at 1e-3 the top pair is one cluster; a raw X is
-        # decomposed again at the default width, where it is two.  The
-        # weights are subgradients at both widths (a smooth penalty's
-        # gradient at the pair's mean is not one at the pair itself)
+    def test_raw_x_reads_the_width_the_triple_was_clustered_at(self, eigh_calls):
+        # clustered at 1e-3 the top pair is one cluster, at the default width
+        # two.  A raw X reads the triple's wide clustering, with no eigh call;
+        # an EigenSystem of X at the default width raises
         rng = key_rng(42)
         x, _ = matrix_with_spectrum(rng, np.array([1.0, 1.0 - 1e-4, -0.5]))
         es_wide = eig(x, cluster_tol=1e-3)
@@ -526,11 +526,12 @@ class TestOneDecomposition:
             triple = spectral_subgradient(theta, es_wide, y)
             before = len(eigh_calls)
             got = spectral_second_subderivative(theta, x, triple, h)
-            assert len(eigh_calls) - before == 1
-            want = spectral_second_subderivative(theta, eig(x), triple, h)
+            assert len(eigh_calls) == before
+            want = spectral_second_subderivative(theta, es_wide, triple, h)
             assert report_bits(got) == report_bits(want)
-            assert got.block_bounds.tolist() == [0, 1, 2, 3]
-            assert got.d2.is_finite
+            assert got.block_bounds.tolist() == [0, 2, 3]
+            with pytest.raises(ValueError, match="width"):
+                spectral_second_subderivative(theta, eig(x), triple, h)
 
     def test_equal_entries_reuse_the_decomposition(self, eigh_calls):
         # a copy of the entries, a SymMatrix of them, and an asymmetric X
@@ -549,8 +550,9 @@ class TestOneDecomposition:
         off[0, 1] = off[1, 0] = np.nextafter(off[0, 1], np.inf)
         for other in (off, SymMatrix(off)):
             before = len(eigh_calls)
-            assert spectral._as_eigensystem(other, triple) is not es
-            assert len(eigh_calls) == before + 1
+            with pytest.raises(ValueError, match="entries"):
+                spectral._as_eigensystem(other, triple)
+            assert len(eigh_calls) == before
 
     def test_invalid_x_fails_as_eig_does(self):
         # neither a NaN nor a shape of its own reaches a broadcast error
@@ -573,10 +575,33 @@ class TestOneDecomposition:
         triple = spectral_subgradient(OrderStat(rank=1), x)
         other = x.copy()
         other[0, 0] += 1e-12
-        got = spectral_second_subderivative(OrderStat(rank=1), other, triple, h)
-        want = spectral_second_subderivative(OrderStat(rank=1), eig(other), triple, h)
-        assert report_bits(got) == report_bits(want)
-        assert got.spectrum.tobytes() != triple.es.lam.tobytes()
+        for point in (other, SymMatrix(other), eig(other)):
+            with pytest.raises(ValueError, match="entries"):
+                spectral_second_subderivative(OrderStat(rank=1), point, triple, h)
+
+    def test_triple_of_another_point_raises(self):
+        # y = e1 is a subgradient at X1 only.  At X2 the structural cone test
+        # read y in X2's eigenbasis and the definitional one Y from X1:
+        # "critical" next to a gap of 1.0, and a d2 report whose pairing was
+        # 1.0 while <Y, H> is 0
+        theta = OrderStat(rank=1)
+        x1, x2 = np.diag([3.0, 1.0, 0.0]), np.diag([1.0, 3.0, 0.0])
+        h = np.zeros((3, 3))
+        h[1, 1] = 1.0
+        triple = spectral_subgradient(theta, x1)
+        assert float(np.vdot(triple.matrix.entries, h)) == 0.0
+        calls = (
+            lambda x: spectral_second_subderivative(theta, x, triple, h),
+            lambda x: critical_cone_member(theta, x, triple, h),
+            lambda x: subderivative_gap(theta, x, triple, h),
+            lambda x: leading_eig_second_subderivative(x, 1, triple, h),
+            lambda x: spectral._cone_tests(theta, x, triple, h),
+        )
+        for call in calls:
+            for x in (x2, SymMatrix(x2), eig(x2)):
+                with pytest.raises(ValueError, match="entries"):
+                    call(x)
+            call(x1)
 
 
 def fan_cases():
@@ -626,17 +651,20 @@ class TestFanGaps:
             near[1] += ((want > spectral.FAN_TOL) & (want < 1e-6)).sum()
         assert tied >= 150 and near.min() >= 5  # decisions near FAN_TOL, on both sides
 
-    def test_triple_of_another_clustering_sorts_y_again(self):
+    def test_triple_is_read_at_its_own_clustering_only(self):
         # at the default width the top pair is two clusters, where y needs no
-        # sorting; at 1e-3 it is one cluster, along which y is unsorted.  The
-        # triple is built by hand at the default width, so nothing checks y
-        # until it is used at the wide clustering
+        # sorting; at 1e-3 it is one cluster, along which y is unsorted.  A
+        # triple built by hand at the wide clustering sorts y along it, and
+        # one at the default width raises there
         rng = key_rng(19, 2)
         x, _ = matrix_with_spectrum(rng, np.array([0.5, 0.5 - 1e-4, -0.7]))
         theta, y = OrderStat(rank=1), np.array([0.3, 0.7, 0.0])
-        triple = SubgradientTriple(y, eig(x))
         wide = eig(x, cluster_tol=1e-3)
         assert wide.r == 2 and eig(x).r == 3
+        triple = SubgradientTriple(y, wide)
+        assert triple.v.tolist() == [0.7, 0.3, 0.0]
+        with pytest.raises(ValueError, match="width"):
+            critical_cone_member(theta, wide, SubgradientTriple(y, eig(x)), np.eye(3))
         for top, gap in (([1.0, 0.0], 0.4), ([0.0, 1.0], 0.0)):
             h = wide.u @ np.diag(top + [0.0]) @ wide.u.T
             ht = wide.u.T @ h @ wide.u
@@ -783,8 +811,8 @@ class TestOnePerPoint:
                     assert sum(a is h for a in seen) == 1, (kind, call)
 
     def test_triple_of_another_penalty_or_point_is_checked(self):
-        # the set a triple carries serves an equal penalty at its own
-        # EigenSystem only; anything else checks v as before
+        # the set a triple carries serves an equal penalty only; another
+        # penalty checks v, and another point raises
         x = np.diag([3.0, 2.0, 1.0])
         h = random_symmetric(key_rng(48), 3)
         top = spectral_subgradient(OrderStat(rank=1), x)
@@ -809,9 +837,9 @@ class TestOnePerPoint:
         smooth = spectral_subgradient(SmoothSep(coeff=1.0), x)
         other = np.diag([3.0, 2.0, 0.5])
         for point in (other, eig(other)):
-            with pytest.raises(InvalidSubgradientError):
+            with pytest.raises(ValueError, match="entries"):
                 spectral_second_subderivative(SmoothSep(coeff=1.0), point, smooth, h)
-            with pytest.raises(InvalidSubgradientError):
+            with pytest.raises(ValueError, match="entries"):
                 critical_cone_member(SmoothSep(coeff=1.0), point, smooth, h)
 
     def test_hand_built_triples(self):
@@ -1201,12 +1229,13 @@ class TestOneTieDecision:
             assert critical_cone_member(theta, wide, triple, h)
             assert spectral_second_subderivative(theta, wide, triple, h).d2.is_finite
         # written at the default width, where the pair is two clusters, the
-        # weights differ along the pair: no subgradient at the joined pair
-        # (its subderivative_gap read -5e-5 for the swap)
+        # weights differ along the pair: no subgradient at the joined pair,
+        # so a default-width triple is not read at the wide clustering
         narrow = spectral_subgradient(theta, x)
         assert narrow.y[0] < narrow.y[1]
-        assert subderivative_gap(theta, wide, narrow, swap) >= -1e-15
-        with pytest.raises(InvalidSubgradientError):
+        with pytest.raises(ValueError, match="width"):
+            subderivative_gap(theta, wide, narrow, swap)
+        with pytest.raises(ValueError, match="width"):
             critical_cone_member(theta, wide, narrow, swap)
 
 

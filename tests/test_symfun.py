@@ -807,6 +807,8 @@ class TestSerialization:
             {"name": "smooth_sep", "coeff": math.nan},
             {"name": "smooth_sep", "coeffs": ["1", 1.0]},
             {"name": "smooth_sep", "coeffs": [True]},
+            # this loaded as SmoothSep(1), from a second, undocumented form
+            {"name": "smooth_sep"},
         ],
     )
     def test_rejects_missing_and_mistyped_fields(self, payload):
