@@ -171,14 +171,6 @@ def _parse_t_grid(text: str) -> tuple[float, ...]:
     return grid
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def emit_quotient_trace(res: ProbeResult, path: str) -> None:
     """Write the per-level quotient trace of a probe as CSV (t,
     min_quotient, at_w_quotient); infinite quotients are written as +inf."""
@@ -384,7 +376,7 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _non_finite(value, path: str) -> list[str]:
     """The paths (``dg``, ``eig_dir[1]``) of the non-finite floats in a
-    value that ``_jsonable`` returned."""
+    report's value of dicts, lists and scalars."""
     if isinstance(value, float):
         return [] if math.isfinite(value) else [path]
     if isinstance(value, dict):
@@ -395,7 +387,9 @@ def _non_finite(value, path: str) -> list[str]:
 
 
 def _finalize(doc: dict) -> dict:
-    doc = _jsonable(doc)
+    """A copy of doc with its determinism hash; doc itself is left as it
+    was, so a second call hashes the same content."""
+    doc = dict(doc)
     bad = _non_finite(doc["outputs"], "")
     if bad:
         raise ValueError(

@@ -70,8 +70,8 @@ def minimize(*args, **kwargs):
 
 def _as_point(x) -> np.ndarray:
     a = np.asarray(x, dtype=float)
-    if a.ndim not in (0, 1, 2):
-        raise ValueError("points must be scalars, vectors, or square matrices")
+    if a.ndim not in (1, 2):
+        raise ValueError("points must be vectors or square matrices")
     if a.ndim == 2 and a.shape[0] != a.shape[1]:
         raise ValueError("matrix points must be square")
     return a
@@ -82,8 +82,6 @@ def _inner(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _free_dim(shape) -> int:
-    if len(shape) == 0:
-        return 1
     if len(shape) == 1:
         return int(shape[0])
     n = shape[0]
@@ -95,12 +93,11 @@ def _ball_draws(w: np.ndarray, radius: float, normals, radii, count: int) -> np.
     roughly uniform in the ball of the given radius around w (symmetrized
     when w is a matrix).  Directions come from the level's ``normals``
     generator and radii from its ``radii`` generator."""
-    shape = w.shape if w.shape else (1,)
-    u = normals.standard_normal((count,) + shape)
+    u = normals.standard_normal((count,) + w.shape)
     r = radius * radii.random(count) ** (1.0 / _free_dim(w.shape))
     if w.ndim == 2:
         u = (u + u.transpose(0, 2, 1)) / 2.0
-    flat = u.reshape(count, 1, math.prod(shape))
+    flat = u.reshape(count, 1, w.size)
     nrm = np.sqrt(flat @ flat.transpose(0, 2, 1)).reshape(-1)
     coef = np.divide(r, nrm, out=np.zeros_like(r), where=nrm > 0.0)  # u = 0 gives w
     return w + coef.reshape((-1,) + (1,) * w.ndim) * u.reshape((-1,) + w.shape)
@@ -303,7 +300,7 @@ def _search_moves(shape):
     diagonal entries, then the off-diagonal pairs (i < j, scaled to unit
     Frobenius norm).  Only the O(dim) index tables are kept."""
     dim = _free_dim(shape)
-    if len(shape) < 2:
+    if len(shape) == 1:
         upper = lower = np.arange(dim)
         val = np.ones(dim)
     else:

@@ -15,7 +15,7 @@ The exported pieces:
 * the second subderivative bundled into a SecondOrderReport, optionally
   cross-checked against the brute-force quotient oracle,
 * a specialized route for single ordered eigenvalues,
-* the second semiderivative on the smooth branch,
+* the second semiderivative on the smooth branch: the d2 at the gradient,
 * the proximal map and its directional derivative.
 
 Conventions.  Subgradient data for the lift is carried as a triple built
@@ -459,18 +459,21 @@ def leading_eig_second_subderivative(x, i: int, triple: SubgradientTriple, h) ->
 
 def second_semiderivative(theta: SymmetricFunction, x, h) -> float:
     """Second-order directional expansion coefficient on the smooth branch:
-    for theta twice differentiable along the spectrum,
+    where theta is differentiable along the spectrum,
 
         g(X + tH) = g(X) + t dg(X)(H) + (t^2/2) d2 + o(t^2)
 
-    with d2 = sum_j hess_j (lambda'_j)^2 plus the cluster curvature
-    correction at y = grad theta(spectrum).  Raises UnsupportedPointError
-    where the penalty is not twice differentiable along the spectrum."""
+    and d2 is the second subderivative at Y = grad g(X), where every
+    direction is critical (Rockafellar-Wets, Ch. 13): the d2 of
+    ``spectral_second_subderivative`` at ``spectral_subgradient``'s
+    canonical y, the gradient.  Raises UnsupportedPointError where the
+    subdifferential along the spectrum is not a single point, and where
+    McpSum's curvature jumps."""
     es = _as_eigensystem(x)
-    grad = theta._gradient(es.position_means, es.cluster_tol)
-    hess = theta._hessian_diagonal(es.position_means, es.cluster_tol)
-    rot = _at(es, h)
-    return float(hess @ (rot.dd**2) + 2.0 * grad @ rot.coupling())
+    triple = spectral_subgradient(theta, es)
+    if not triple.checked[1].singleton:
+        raise UnsupportedPointError(f"{theta.name} is not differentiable along the spectrum here")
+    return float(spectral_second_subderivative(theta, es, triple, h).d2)
 
 
 class SpectralProxResult(Record):
@@ -528,6 +531,10 @@ def prox_directional_derivative(
     if len(t_grid) < 3:
         raise ValueError("t_grid needs at least three levels for extrapolation")
     ts = [float(t) for t in t_grid]
+    if not all(math.isfinite(t) for t in ts):
+        raise ValueError("t_grid entries must be finite")
+    if any(t <= 0 for t in ts):
+        raise ValueError("t_grid must be strictly decreasing and positive")
     ratios = {round(ts[k] / ts[k + 1], 9) for k in range(len(ts) - 1)}
     if len(ratios) != 1:
         raise ValueError("t_grid must be geometric")

@@ -15,11 +15,13 @@ support function of the subdifferential (every shipped penalty is regular;
 Rockafellar-Wets, Thm 8.30), and the second subderivative relative to y is
 the family's ``_curvature`` (0 if polyhedral) on the critical cone
 {w : dtheta(x)(w) = <y, w>} and +inf off it, judged by ``_in_cone`` alone.
-Each family also has a proximal mapping (closed form where available,
-brute-force fallback otherwise: ``OrderStat`` at rank >= 2 and
-``EigGapMax``) and, for the polyhedral families, a
-certificate of whether the second subderivative is a generalized quadratic
-on a subspace.
+Where the subdifferential is a single point (``SubgradientSet.singleton``)
+theta is differentiable, that point is the gradient and every direction is
+critical; no family states a gradient or a Hessian of its own.  Each family
+also has a proximal mapping (closed form where available, brute-force
+fallback otherwise: ``OrderStat`` at rank >= 2 and ``EigGapMax``) and, for
+the polyhedral families, a certificate of whether the second subderivative
+is a generalized quadratic on a subspace.
 
 The two polyhedral subdifferentials are simplices with linearly
 independent vertices, e_i for ``OrderStat`` and e_i - e_(i+1) for
@@ -30,10 +32,10 @@ y_S or cumsum(y)_S.  No LP and no scipy call is involved.
 Subgradient membership is tested to an absolute tolerance of 1e-9 in the
 sup norm.  Active sets, kinks and ties are judged within a width: on a bare
 vector x, ``eig``'s default clustering width ``tie_width(max |x|)``; from
-the spectral layer, which calls the private ``_subgradients``,
-``_curvature``, ``_gradient`` and ``_hessian_diagonal`` at the cluster
-means, the width ``eig`` clustered with, so ties are its clusters.  Vector
-arguments of unequal lengths raise ValueError.
+the spectral layer, which calls the private ``_subgradients`` and
+``_curvature`` at the cluster means, the width ``eig`` clustered with, so
+ties are its clusters.  Vector arguments of unequal lengths raise
+ValueError.
 """
 from __future__ import annotations
 
@@ -221,6 +223,15 @@ class SubgradientSet(Record):
         s = self.active
         return float(np.max(w[s] - w[s + 1] if self.gaps else w[s]))
 
+    @property
+    def singleton(self) -> bool:
+        """Whether the set is one point: the penalty is differentiable here."""
+        if self.kind == "point":
+            return True
+        if self.kind == "box":
+            return bool(np.array_equal(self.lower, self.upper))
+        return self.active.size == 1
+
     def canonical_vertex(self) -> np.ndarray:
         """Deterministic representative: the lexicographically smallest
         vertex, which for a hull is the one at the largest active index
@@ -234,11 +245,14 @@ class SubgradientSet(Record):
 
 def _in_cone(s: SubgradientSet, y: np.ndarray, w: np.ndarray) -> tuple[float, bool]:
     """The one penalty cone test, for a y checked against the subdifferential
-    s: dtheta(x)(w), the support of s at w, and whether it equals <y, w> to
-    within CONE_RTOL ||w||_2 + SUBGRADIENT_TOL ||w||_1: no absolute floor,
-    and the second term is what the membership slack of y alone moves
-    <y, w> by, so the two tolerances nest."""
+    s: dtheta(x)(w), the support of s at w, and whether w is critical.  A
+    singleton s makes every direction critical.  Otherwise dg must equal
+    <y, w> to within CONE_RTOL ||w||_2 + SUBGRADIENT_TOL ||w||_1: no
+    absolute floor, and the second term is what the membership slack of y
+    alone moves <y, w> by, so the two tolerances nest."""
     dg = s.support(w)
+    if s.singleton:
+        return dg, True
     bound = CONE_RTOL * math.sqrt(w.dot(w)) + SUBGRADIENT_TOL * float(np.abs(w).sum())
     return dg, bool(abs(dg - float(y @ w)) <= bound)
 
@@ -263,13 +277,13 @@ class ProxResult(Record):
 
 class SymmetricFunction:
     """Interface shared by the shipped symmetric penalties: a subclass
-    states ``value``, ``_subgradients`` and, unless it is polyhedral,
-    ``_curvature``, each at a vector and a tie width, and the calculus
-    follows here (see the module docstring).  A subclass with
-    ``polyhedral = True`` (a hull subdifferential) also inherits the
-    gradient, the zero Hessian diagonal and, unless it states its own, the
-    brute-force prox; any other subclass supplies its own (``_gradient``
-    and ``_hessian_diagonal``, at a vector and a tie width, and ``prox``)."""
+    states ``value``, ``_subgradients`` (at a vector and a tie width)
+    and, unless it is polyhedral, ``_curvature`` (at a vector, a direction
+    and a tie width) and ``prox``.  The calculus follows here (see the
+    module docstring), the gradient included: the subdifferential where it
+    is a single point.  A subclass with ``polyhedral = True`` (a hull
+    subdifferential) has zero curvature and, unless it states its own, the
+    brute-force prox."""
 
     __slots__ = ()
     polyhedral: bool = False
@@ -322,23 +336,12 @@ class SymmetricFunction:
         return ProxResult(point=res.point, closed_form=False)
 
     def gradient(self, x) -> np.ndarray:
-        x = _vec(x)
-        return self._gradient(x, _tie_tol(x))
-
-    def _gradient(self, x: np.ndarray, tol: float) -> np.ndarray:
-        """For polyhedral penalties: the vertex of a one-vertex hull."""
-        if self.polyhedral:
-            s = self._subgradients(x, tol)
-            if s.active.size == 1:
-                return s.vertices[0]
-        raise UnsupportedPointError(f"{self.name} is not differentiable here")
-
-    def _hessian_diagonal(self, x: np.ndarray, tol: float) -> np.ndarray:
-        """For polyhedral penalties: zero wherever the gradient exists."""
-        if not self.polyhedral:
-            raise UnsupportedPointError(f"{self.name} has no second derivative here")
-        self._gradient(x, tol)
-        return np.zeros(x.size)
+        """The subdifferential's one point; UnsupportedPointError where it
+        has more than one."""
+        s = self.subgradients(x)
+        if not s.singleton:
+            raise UnsupportedPointError(f"{self.name} is not differentiable here")
+        return s.canonical_vertex()
 
     def check_subgradient(self, x, y) -> SubgradientSet:
         """The subdifferential at x, once y is checked to lie in it."""
@@ -564,32 +567,18 @@ class McpSum(SymmetricFunction, Value):
         upper = np.where(zero, self.c, g)
         return SubgradientSet(kind="box", lower=lower, upper=upper)
 
-    def _inner(self, x: np.ndarray, tol: float) -> np.ndarray:
-        """The mask |x_i| < a c; a coordinate within tol of the cap boundary
-        |x_i| = a c, where the curvature jumps, raises UnsupportedPointError."""
+    def _curvature(self, x, w, tol: float) -> float:
+        """-||w_i||^2 / a over the inner coordinates |x_i| < a c; a
+        coordinate within tol of the cap boundary |x_i| = a c, where the
+        curvature jumps, raises UnsupportedPointError."""
         cap = self.a * self.c
         if np.any(np.abs(np.abs(x) - cap) <= tol):
             raise UnsupportedPointError(
                 "mcp second-order hypothesis violated: a coordinate sits on the "
                 "cap boundary |t| = a*c where the curvature jumps"
             )
-        return np.abs(x) < cap
-
-    def _curvature(self, x, w, tol: float) -> float:
-        """-||w_i||^2 / a over the inner coordinates."""
-        inner = w[self._inner(x, tol)]
+        inner = w[np.abs(x) < cap]
         return 0.0 - float(inner @ inner) / self.a  # 0.0 - keeps an empty sum at +0.0
-
-    def _gradient(self, x: np.ndarray, tol: float) -> np.ndarray:
-        if np.any(np.abs(x) <= tol):
-            raise UnsupportedPointError(
-                "mcp is not differentiable at zero coordinates"
-            )
-        return self.phi_prime(x)
-
-    def _hessian_diagonal(self, x: np.ndarray, tol: float) -> np.ndarray:
-        self._gradient(x, tol)  # zero coordinates raise
-        return np.where(self._inner(x, tol), -1.0 / self.a, 0.0)
 
     def prox(self, gamma: float, x) -> ProxResult:
         gamma = float(gamma)
@@ -627,14 +616,8 @@ class SmoothSep(SymmetricFunction, Value):
         x = _rows(x)
         return _per_row(0.5 * self.coeff * (x[..., None, :] @ x[..., :, None])[..., 0, 0])
 
-    def _gradient(self, x: np.ndarray, tol: float) -> np.ndarray:
-        return self.coeff * x
-
-    def _hessian_diagonal(self, x: np.ndarray, tol: float) -> np.ndarray:
-        return np.full(x.size, self.coeff)
-
     def _subgradients(self, x: np.ndarray, tol: float) -> SubgradientSet:
-        return SubgradientSet(kind="point", point=self._gradient(x, tol))
+        return SubgradientSet(kind="point", point=self.coeff * x)
 
     def _curvature(self, x, w, tol: float) -> float:
         return self.coeff * float(w @ w)

@@ -483,6 +483,13 @@ class TestDeterminism:
         _, doc2, _ = run_cli(argv, capsys)
         assert doc1["determinism_hash"] != doc2["determinism_hash"]
 
+    def test_trace_csv_leaves_the_hash(self, flagship_args, tmp_path, capsys):
+        # SSUB --trace-csv finalizes the report once before it writes the
+        # trace; the hash printed after must not read that call's hash
+        _, plain, _ = run_cli(flagship_args, capsys)
+        _, traced, _ = run_cli(flagship_args + ["--trace-csv", str(tmp_path / "t.csv")], capsys)
+        assert traced["determinism_hash"] == plain["determinism_hash"]
+
     def test_environment_is_recorded_outside_the_hash(self, flagship_args, capsys, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)

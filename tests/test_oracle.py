@@ -422,6 +422,22 @@ class TestAttainment:
             )
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: diff_quotient2(f, 1.0, 0.0, 1.0, 1e-3),
+        lambda f: numeric_second_subderivative(f, 1.0, 0.0, 1.0, QuotientProbe(samples=2)),
+        lambda f: numeric_subderivative(f, 1.0, 1.0, samples=2),
+        lambda f: epi_attainment_search(f, 1.0, 0.0, 1.0, 0.0),
+    ],
+    ids=["diff_quotient2", "second_order", "first_order", "attainment"],
+)
+def test_scalar_points_raise(call):
+    # the oracles search vectors and matrices; a scalar is not promoted
+    with pytest.raises(ValueError, match="points must be vectors or square matrices"):
+        call(lambda z: float(np.sum(z)))
+
+
 class TestNumericProx:
     def test_matches_mcp_closed_form(self):
         # one coordinate on each branch of the MCP prox, then all of them

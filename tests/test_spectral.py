@@ -56,7 +56,6 @@ from conftest import (
 )
 
 OFFDIAG = np.array([[0.0, 1.0], [1.0, 0.0]])
-SEMIDERIV_CHECK_RTOL = 1e-8  # semiderivative vs general d2 at the gradient
 OFFDIAG_4 = np.kron(np.eye(2), OFFDIAG)
 
 
@@ -940,6 +939,20 @@ class TestHugeDirection:
         assert second_semiderivative(theta, x, 1e100 * np.eye(2)) == 0.0
 
 
+def test_symmatrix_direction_reads_as_its_array():
+    # as_sym_array hands a SymMatrix's entries on as they are: an exactly
+    # symmetric H gives the same bits as an array and as a SymMatrix
+    rng = key_rng(4251)
+    for kind in CRITICAL_KINDS:
+        theta, es, y, h = critical_instance(rng, kind)
+        hs = SymMatrix(h)
+        assert np.array_equal(hs.entries, h)
+        triple = spectral_subgradient(theta, es, y)
+        want = report_bits(spectral_second_subderivative(theta, es, triple, h))
+        assert report_bits(spectral_second_subderivative(theta, es, triple, hs)) == want
+        assert eig_dir_derivative(es, hs).tobytes() == eig_dir_derivative(es, h).tobytes()
+
+
 class TestOneCore:
     """Every second-order entry point reads one core: X resolved, H
     validated and rotated once, v checked and the cone decided once."""
@@ -1214,8 +1227,7 @@ class TestOneTieDecision:
         rep = spectral_second_subderivative(theta, x, triple, h)
         assert rep.in_critical_cone and rep.d2.is_finite
         assert abs(subderivative_gap(theta, x, triple, h)) <= spectral.DEFINITIONAL_CONE_TOL
-        semi = second_semiderivative(theta, x, h)
-        assert semi == pytest.approx(float(rep.d2), rel=SEMIDERIV_CHECK_RTOL)
+        assert second_semiderivative(theta, x, h) == float(rep.d2)
 
     def test_custom_width_joins_the_pair_for_the_penalty_too(self):
         x, _ = matrix_with_spectrum(key_rng(4248), np.array([0.5, 0.5 - 1e-4, -0.7]))
@@ -1345,23 +1357,27 @@ class TestSecondSemiderivative:
         assert second_semiderivative(McpSum(a=2.0, c=1.0), x, np.zeros((2, 2))) == 0.0
 
     def test_matches_general_second_subderivative_at_gradient(self):
-        # the smooth branch is the general d2 taken at y = grad theta
+        # the smooth branch is the general d2 taken at y = grad theta, the
+        # canonical subgradient where the subdifferential is one point
         rng = key_rng(26)
         cases = [
             (SmoothSep(coeff=1.0), np.array([2.0, 0.5, -1.0])),
             (SmoothSep(coeff=-0.5), np.array([1.0, 1.0, -1.0])),
             (McpSum(a=2.0, c=1.0), np.array([3.0, 0.5, -0.7])),
             (McpSum(a=2.0, c=1.0), np.array([0.6, 0.6, -2.5, -2.5])),
+            (OrderStat(rank=1), np.array([2.0, 0.5, 0.5, -1.0])),
+            (OrderStat(rank=2), np.array([2.0, 0.5, -1.0])),
+            (EigGapMax(), np.array([3.0, 1.0, 0.5, 0.5])),
         ]
         for theta, lam in cases:
             x, _ = matrix_with_spectrum(rng, lam)
             es = eig(x)
             h = random_symmetric(rng, es.n)
-            semi = second_semiderivative(theta, es, h)
-            triple = spectral_subgradient(theta, es, theta.gradient(es.lam))
+            triple = spectral_subgradient(theta, es)
+            assert np.array_equal(triple.y, theta.gradient(es.position_means))
             general = spectral_second_subderivative(theta, es, triple, h).d2
             assert general.is_finite
-            assert abs(float(general) - semi) <= SEMIDERIV_CHECK_RTOL * (1.0 + abs(semi))
+            assert second_semiderivative(theta, es, h) == float(general)
 
     def test_kink_and_cap_rejected(self):
         theta = McpSum(a=2.0, c=1.0)
@@ -1369,6 +1385,31 @@ class TestSecondSemiderivative:
             second_semiderivative(theta, np.diag([1.2, 0.0]), np.eye(2))
         with pytest.raises(UnsupportedPointError):
             second_semiderivative(theta, np.diag([2.0, 0.5]), np.eye(2))
+
+    @pytest.mark.parametrize(
+        "theta, lam",
+        [(OrderStat(rank=1), [2.0, 2.0, 0.0]), (EigGapMax(), [4.0, 2.0, 0.0])],
+        ids=["tied-top", "tied-maximal-gaps"],
+    )
+    def test_kinked_polyhedral_point_rejected(self, theta, lam):
+        x, _ = matrix_with_spectrum(key_rng(27), np.array(lam))
+        with pytest.raises(UnsupportedPointError):
+            theta.gradient(eig(x).position_means)
+        with pytest.raises(UnsupportedPointError):
+            second_semiderivative(theta, x, random_symmetric(key_rng(28), 3))
+
+    def test_smooth_mcp_with_a_large_coefficient(self):
+        # every direction is critical where McpSum is differentiable; the
+        # cone test read this one as off the cone (d2 +inf) at c = 1e9
+        theta = McpSum(a=2.0, c=1e9)
+        x = np.diag([3e8, 1e8, -5e8])
+        h = np.array([[0.3, 1.0, 0.0], [1.0, -0.2, 0.5], [0.0, 0.5, 0.1]])
+        triple = spectral_subgradient(theta, x)
+        rep = spectral_second_subderivative(theta, x, triple, h)
+        assert rep.in_critical_cone and critical_cone_member(theta, x, triple, h)
+        assert abs(subderivative_gap(theta, x, triple, h)) <= spectral.DEFINITIONAL_CONE_TOL
+        assert float(rep.d2) == second_semiderivative(theta, x, h)
+        assert float(rep.d2) == pytest.approx(0.3466666666666673, rel=1e-12)
 
 
 class TestSpectralProx:
@@ -1560,3 +1601,11 @@ class TestProxDirectional:
             prox_directional_derivative(
                 SmoothSep(coeff=1.0), 1.0, x, x, t_grid=(1e-5, 1e-4, 1e-3)
             )
+        # a zero step divided by zero; negative steps gave backward
+        # differences that read as converged
+        for grid in ((1e-3, 0.0, 0.0), (-1e-3, -1e-4, -1e-5)):
+            with pytest.raises(ValueError, match="t_grid must be strictly decreasing and positive"):
+                prox_directional_derivative(SmoothSep(coeff=1.0), 1.0, x, x, t_grid=grid)
+        for grid in ((np.inf, 1e-4, 1e-5), (1e-3, np.nan, 1e-5)):
+            with pytest.raises(ValueError, match="t_grid entries must be finite"):
+                prox_directional_derivative(SmoothSep(coeff=1.0), 1.0, x, x, t_grid=grid)

@@ -474,6 +474,20 @@ class TestCriticalCone:
         assert f.critical_cone_member(x, y, w)
         assert float(f.second_subderivative(x, y, w)) == pytest.approx(200.0, rel=1e-12)
 
+    @pytest.mark.parametrize("c", [1e8, 1e9, 1e12])
+    def test_smooth_mcp_with_a_large_coefficient(self, c):
+        # a box with lower == upper is the gradient: every direction is
+        # critical.  The box support and y @ w differed by about eps c
+        # ||w||_1, past the bound, so 85 of 200 draws read off the cone at c = 1e9
+        f = McpSum(a=2.0, c=c)
+        x = c * np.array([0.3, 0.1, -0.5])
+        y = f.gradient(x)
+        assert f.subgradients(x).singleton
+        rng = key_rng(34)
+        for w in [np.array([0.3, -0.2, 0.1])] + list(rng.standard_normal((200, 3))):
+            assert f.critical_cone_member(x, y, w)
+            assert f.second_subderivative(x, y, w).is_finite
+
 
 class TestProx:
     def test_mcp_three_branches(self):
@@ -768,6 +782,29 @@ class TestUnsupportedPoints:
         assert np.allclose(f.gradient([2.0, 0.0]), [1.0, 0.0])
         with pytest.raises(UnsupportedPointError):
             f.gradient([2.0, 2.0])
+
+    def test_eig_gap_gradient_needs_one_maximal_gap(self):
+        f = EigGapMax()
+        assert np.array_equal(f.gradient([4.0, 1.0, 0.0]), [1.0, -1.0, 0.0])
+        with pytest.raises(UnsupportedPointError):
+            f.gradient([4.0, 2.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "f, x, grad",
+        [
+            (SmoothSep(coeff=-0.5), [2.0, 0.0, -1.0], [-1.0, 0.0, 0.5]),
+            (McpSum(a=2.0, c=1.0), [0.5, 2.5, -1.0], [0.75, 0.0, -0.5]),
+            (OrderStat(rank=2), [3.0, 1.0, 0.0], [0.0, 1.0, 0.0]),
+        ],
+    )
+    def test_gradient_is_the_singleton_subdifferential(self, f, x, grad):
+        assert f.subgradients(x).singleton
+        assert np.array_equal(f.gradient(x), grad)
+
+    def test_singleton_by_kind(self):
+        assert SubgradientSet(kind="point", point=np.zeros(2)).singleton
+        assert not McpSum(a=2.0, c=1.0).subgradients([0.0, 1.0]).singleton
+        assert not OrderStat(rank=1).subgradients([2.0, 2.0]).singleton
 
 
 class TestSerialization:
