@@ -56,16 +56,201 @@ from .record import Record, Value
 
 ATTAINMENT_TOL = 1e-2
 STACK_FLOATS = 1 << 18  # candidate points evaluated per chunk, in floats
+_XTOL = 1e-10  # line searches run Brent at tolerance 100 * _XTOL
+_FTOL = 1e-12
+_MAXITER = 2000
+_GOLD = 1.618034  # bracket's golden ratio, rounded as scipy rounds it
+_CG = 0.3819660  # Brent's golden-section fraction, rounded as scipy rounds it
+_VERYSMALL = 1e-21
+_MINTOL = 1e-11
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on first use: most calls never need
-    it.  Without scipy it raises OracleError, a ValueError."""
-    try:
-        from scipy.optimize import minimize as scipy_minimize
-    except ImportError as exc:
-        raise OracleError("numeric_prox needs scipy, which is not installed") from exc
-    return scipy_minimize(*args, **kwargs)
+def minimize(fun, x0) -> tuple[np.ndarray, float]:
+    """Powell's conjugate-direction search (Powell, Comput. J. 1964) for a
+    minimum of ``fun`` from the vector ``x0``: the point and its value.
+
+    A port of scipy 1.17.1's unbounded ``_minimize_powell``, with its
+    ``_linesearch_powell``, ``Brent`` (Brent, Algorithms for Minimization
+    without Derivatives, 1973) and ``bracket``, from
+    scipy/optimize/_optimize.py (module by Travis E. Oliphant; Copyright
+    (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers; BSD-3-Clause,
+    see LICENSE-scipy.txt at the root of the repository).  It runs at
+    scipy's ``direc = I``, ``xtol = 1e-10``, ``ftol = 1e-12``,
+    ``maxiter = 2000`` and no ``maxfev``, on Python floats in scipy's order
+    of operations, so every point it evaluates and returns is bit-identical
+    to ``scipy.optimize.minimize(fun, x0, method="Powell", options=...)``.
+    A line search whose bracket fails ends where scipy's
+    ``_recover_from_bracket_error`` does: at the best of the three points,
+    or at NaN if any of them is NaN; one that finds no bracket in 1000
+    steps raises OracleError where scipy raises RuntimeError.  ``fun`` must
+    return a float; it is never handed an array that the search goes on to
+    use.
+
+    No divisor can be zero, so no Python float division raises where
+    numpy's gave inf or NaN: Brent's parabolic step divides by ``tmp2``
+    only inside its own bracket test ``tmp2 * (a - x) < p < tmp2 * (b - x)``,
+    which no ``tmp2`` of 0 (or NaN) passes, and ``bracket`` divides by
+    ``2 * val`` only where ``|val| >= 1e-21``, else by ``2e-21``.
+    """
+    x = np.array(x0, dtype=float).reshape(-1)
+    direc = list(np.eye(x.size))
+    fval = fun(x.copy())
+    x1 = x
+    it = 0
+    while True:
+        fx = fval
+        bigind = 0
+        delta = 0.0
+        for i in range(x.size):
+            fx2 = fval
+            fval, x, _ = _line_search(fun, x, direc[i], fval)
+            if fx2 - fval > delta:
+                delta = fx2 - fval
+                bigind = i
+        it += 1
+        if 2.0 * (fx - fval) <= _FTOL * (abs(fx) + abs(fval)) + 1e-20:
+            break
+        if it >= _MAXITER or (math.isnan(fx) and math.isnan(fval)):
+            break
+        # the extrapolated point along the iteration's total move
+        direc1 = x - x1
+        x1 = x
+        fx2 = fun(x + direc1)
+        if fx > fx2:
+            t = 2.0 * (fx + fx2 - 2.0 * fval)
+            temp = fx - fval - delta
+            t *= temp * temp
+            temp = fx - fx2
+            t -= delta * temp * temp
+            if t < 0.0:
+                fval, x, direc1 = _line_search(fun, x, direc1, fval)
+                if direc1.any():
+                    direc[bigind] = direc[-1]
+                    direc[-1] = direc1
+    return x, fval
+
+
+def _line_search(fun, p, xi, fval):
+    """scipy's unbounded ``_linesearch_powell``: the minimum of fun along
+    p + alpha xi, as (value, point, alpha xi)."""
+    if not xi.any():
+        return fval, p, xi
+    alpha, fret = _brent(lambda a: fun(p + a * xi), 100 * _XTOL)
+    xi = alpha * xi
+    return fret, p + xi, xi
+
+
+def _brent(f, tol: float) -> tuple[float, float]:
+    """scipy's ``Brent`` at 500 iterations from ``bracket``'s three points,
+    or ``_recover_from_bracket_error``'s point where no bracket was found."""
+    xa, xb, xc, fa, fb, fc = found = _bracket(f)
+    if not (
+        ((fb < fc and fb <= fa) or (fb < fa and fb <= fc))
+        and (xa < xb < xc or xc < xb < xa)
+        and math.isfinite(xa) and math.isfinite(xb) and math.isfinite(xc)
+    ):
+        if any(math.isnan(z) for z in found):
+            return math.nan, math.nan
+        fs = (fa, fb, fc)
+        best = fs.index(min(fs))  # the first of equal minima, as np.argmin
+        return (xa, xb, xc)[best], fs[best]
+    x = w = v = xb
+    fw = fv = fx = fb
+    a, b = (xa, xc) if xa < xc else (xc, xa)
+    deltax = rat = 0.0
+    for _ in range(500):
+        tol1 = tol * abs(x) + _MINTOL
+        tol2 = 2.0 * tol1
+        xmid = 0.5 * (a + b)
+        if abs(x - xmid) < (tol2 - 0.5 * (b - a)):
+            break
+        if abs(deltax) <= tol1:  # a golden-section step
+            deltax = a - x if x >= xmid else b - x
+            rat = _CG * deltax
+        else:  # a parabolic step, if it lands inside the bracket
+            tmp1 = (x - w) * (fx - fv)
+            tmp2 = (x - v) * (fx - fw)
+            p = (x - v) * tmp2 - (x - w) * tmp1
+            tmp2 = 2.0 * (tmp2 - tmp1)
+            if tmp2 > 0.0:
+                p = -p
+            tmp2 = abs(tmp2)
+            dx_temp = deltax
+            deltax = rat
+            if p > tmp2 * (a - x) and p < tmp2 * (b - x) and abs(p) < abs(0.5 * tmp2 * dx_temp):
+                rat = p / tmp2
+                u = x + rat
+                if (u - a) < tol2 or (b - u) < tol2:
+                    rat = tol1 if xmid - x >= 0 else -tol1
+            else:
+                deltax = a - x if x >= xmid else b - x
+                rat = _CG * deltax
+        if abs(rat) < tol1:
+            u = x + tol1 if rat >= 0 else x - tol1
+        else:
+            u = x + rat
+        fu = f(u)
+        if fu > fx:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, w, fv, fw = w, u, fw, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        else:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, w, x = w, x, u
+            fv, fw, fx = fw, fx, fu
+    return x, fx
+
+
+def _bracket(f):
+    """scipy's ``bracket`` from 0 and 1 at grow limit 110: three points
+    (xa, xb, xc, fa, fb, fc) downhill from them, which ``_brent`` checks."""
+    xa, xb = 0.0, 1.0
+    fa, fb = f(xa), f(xb)
+    if fa < fb:
+        xa, xb, fa, fb = xb, xa, fb, fa
+    xc = xb + _GOLD * (xb - xa)
+    fc = f(xc)
+    it = 0
+    while fc < fb:
+        tmp1 = (xb - xa) * (fb - fc)
+        tmp2 = (xb - xc) * (fb - fa)
+        val = tmp2 - tmp1
+        denom = 2.0 * _VERYSMALL if abs(val) < _VERYSMALL else 2.0 * val
+        w = xb - ((xb - xc) * tmp2 - (xb - xa) * tmp1) / denom
+        wlim = xb + 110.0 * (xc - xb)
+        if it > 1000:
+            raise OracleError("Powell's line search found no bracket in 1000 steps")
+        it += 1
+        if (w - xc) * (xb - w) > 0.0:
+            fw = f(w)
+            if fw < fc:
+                return xb, w, xc, fb, fw, fc
+            if fw > fb:
+                return xa, xb, w, fa, fb, fw
+            w = xc + _GOLD * (xc - xb)
+            fw = f(w)
+        elif (w - wlim) * (wlim - xc) >= 0.0:
+            w = wlim
+            fw = f(w)
+        elif (w - wlim) * (xc - w) > 0.0:
+            fw = f(w)
+            if fw < fc:
+                xb, xc, fb, fc = xc, w, fc, fw
+                w = xc + _GOLD * (xc - xb)
+                fw = f(w)
+        else:
+            w = xc + _GOLD * (xc - xb)
+            fw = f(w)
+        xa, xb, xc, fa, fb, fc = xb, xc, w, fb, fc, fw
+    return xa, xb, xc, fa, fb, fc
 
 
 def _as_point(x) -> np.ndarray:
@@ -428,7 +613,7 @@ def numeric_prox(
     """Brute-force proximal point of f at a vector x with parameter gamma.
 
     Minimizes f(w) + ||w - x||^2 / (2 gamma) by derivative-free Powell
-    searches from x and from ``restarts`` random starts
+    searches (``minimize``) from x and from ``restarts`` random starts
     x + (gamma / 2) z, z drawn in turn from
     default_rng(seed).standard_normal, and keeps the best.  Inputs that are
     not 1-D raise ValueError; a matrix prox is the vector prox of its
@@ -456,15 +641,9 @@ def numeric_prox(
         # near the float maximum Powell's line search overflows; such a
         # search ends at a non-finite objective, which is never kept
         with np.errstate(over="ignore", invalid="ignore"):
-            res = minimize(
-                obj,
-                z0,
-                method="Powell",
-                options={"xtol": 1e-10, "ftol": 1e-12, "maxiter": 2000},
-            )
-        if float(res.fun) < best_v:
-            best_v = float(res.fun)
-            best_z = np.asarray(res.x)
+            z, v = minimize(obj, z0)
+        if v < best_v:
+            best_v, best_z = v, z
     if best_z is None:
         raise OracleError("numeric_prox: every search ended at a non-finite objective")
     return NumericProxResult(best_z, best_v)

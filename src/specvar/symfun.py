@@ -103,6 +103,7 @@ def _tie_tol(x: np.ndarray) -> float:
 
 
 # Nothing calls this; perfbench/spans.py looks the name up to count hull LPs.
+# It is the one scipy import left in the package, and it never runs.
 def linprog(*args, **kwargs):
     """scipy.optimize.linprog, imported on first use."""
     from scipy.optimize import linprog as scipy_linprog

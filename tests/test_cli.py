@@ -578,8 +578,8 @@ def test_console_entry_point(tmp_path):
 
 
 def test_closed_form_commands_leave_scipy_optimize_unimported(tmp_path):
-    # only the numeric prox needs scipy: every other command runs on closed
-    # forms, an EigGapMax subdifferential with two tied maximal gaps included
+    # no command needs scipy: the closed forms, an EigGapMax subdifferential
+    # with two tied maximal gaps included, and the numeric prox's own Powell
     files = {
         "x": FLAGSHIP,
         "h": OFFDIAG,
@@ -606,6 +606,10 @@ def test_closed_form_commands_leave_scipy_optimize_unimported(tmp_path):
     prox = ["--command", "PROX", "--matrix", str(tmp_path / "g.json"),
             "--theta", order, "--gamma", "0.5"]
     argvs += [prox, prox + ["--direction", str(tmp_path / "k.json")]]
+    # the numeric prox of OrderStat(2) and of EigGapMax
+    for t in ('{"name":"order_stat","i":2}', gap):
+        argvs.append(["--command", "PROX", "--matrix", str(tmp_path / "g.json"),
+                      "--theta", t, "--gamma", "0.5"])
     code = (
         "import json, sys\n"
         "from specvar.cli import main\n"
@@ -625,10 +629,12 @@ def test_closed_form_commands_leave_scipy_optimize_unimported(tmp_path):
     tied = json.loads((tmp_path / "4.json").read_text())
     assert tied["eigen"]["lambda"] == [4.0, 2.0, 0.0]
     assert tied["outputs"]["y"] == [0.0, 1.0, -1.0]
-    for i in (len(argvs) - 2, len(argvs) - 1):
+    for i in (len(argvs) - 4, len(argvs) - 3):
         out = json.loads((tmp_path / f"{i}.json").read_text())["outputs"]
         assert out["closed_form"] is True and out["prox_eigenvalues"] == [3.5, 2.0, 0.0]
     assert out["directional_converged"] is True
+    for i in (len(argvs) - 2, len(argvs) - 1):
+        assert json.loads((tmp_path / f"{i}.json").read_text())["outputs"]["closed_form"] is False
 
 
 @pytest.mark.parametrize(
@@ -671,21 +677,21 @@ WITHOUT_SCIPY = (
 )
 
 
-def test_polyhedral_prox_without_scipy_exits_two(tmp_path):
-    # the numeric prox is the one route into scipy: without it PROX names
-    # the missing package instead of ending in a traceback
+@pytest.mark.parametrize(
+    "theta", ['{"name":"order_stat","i":2}', '{"name":"eig_gap"}'], ids=["order_stat-2", "eig_gap"]
+)
+def test_numeric_prox_without_scipy_runs(theta, tmp_path):
+    # numeric_prox's Powell search is specvar's own: with scipy blocked the
+    # numeric PROX runs and hashes as it does where scipy is installed
     x = write_json_matrix(tmp_path / "x.json", FLAGSHIP)
-    proc = subprocess.run(
-        [sys.executable, "-c", WITHOUT_SCIPY, "--command", "PROX", "--matrix", x,
-         "--theta", '{"name":"order_stat","i":2}', "--gamma", "0.5"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 2, proc.stderr
-    assert "scipy" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stdout == ""
+    argv = ["--command", "PROX", "--matrix", x, "--theta", theta, "--gamma", "0.5"]
+    docs = []
+    for launch in ([sys.executable, "-c", WITHOUT_SCIPY], [sys.executable, "-m", "specvar.cli"]):
+        proc = subprocess.run(launch + argv, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        docs.append(json.loads(proc.stdout))
+    assert docs[0]["outputs"]["closed_form"] is False
+    assert docs[0]["determinism_hash"] == docs[1]["determinism_hash"]
 
 
 def test_largest_eigenvalue_prox_without_scipy_runs(tmp_path):
@@ -916,7 +922,6 @@ class TestFuzz:
     def test_numeric_prox_near_the_float_maximum_runs_clean(self, tmp_path):
         # Powell's line search overflowed in scipy at a spectrum of 1e308:
         # numpy warned, and -W error ended in a traceback with exit 1
-        pytest.importorskip("scipy")
         x = write_json_matrix(tmp_path / "x.json", np.diag([1e308, 1.0]).tolist())
         code, doc, err = run_strict(["--command", "PROX", "--matrix", x,
                                      "--theta", '{"name":"eig_gap"}', "--gamma", "0.5"])

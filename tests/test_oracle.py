@@ -450,8 +450,10 @@ class TestNumericProx:
 
     def test_polyhedral_prox_is_frozen(self):
         """The prox of both polyhedral penalties at one 4-vector, pinned to
-        the last bit.  The literals were recorded with scipy 1.17, numpy 2.4
-        and OpenBLAS 0.3; another scipy or LAPACK may move the last digits."""
+        the last bit.  The literals were recorded with numpy 2.4 and OpenBLAS
+        0.3; another LAPACK may move the last digits.  They were recorded
+        through scipy 1.17's Powell search, which ``oracle.minimize``
+        reproduces bit for bit (TestPowellMatchesScipy)."""
         x = np.array([1.3, 0.7, 0.4, -0.6])
         frozen = [
             (
@@ -496,3 +498,65 @@ class TestNumericProx:
     def test_non_finite_objective_raises(self):
         with pytest.raises(OracleError):
             numeric_prox(lambda z: math.inf, 1.0, np.zeros(2), restarts=1)
+
+    def test_nan_objective_raises(self):
+        # every line search's bracket holds NaN, so each search ends at NaN
+        with pytest.raises(OracleError):
+            numeric_prox(lambda z: math.nan, 1.0, np.zeros(2), restarts=1)
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestPowellMatchesScipy:
+    """``oracle.minimize`` against the scipy Powell search it ports, bit for
+    bit in the point and the objective."""
+
+    OPTIONS = {"xtol": 1e-10, "ftol": 1e-12, "maxiter": 2000}
+
+    def check(self, obj, z0):
+        optimize = pytest.importorskip("scipy.optimize")
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = optimize.minimize(obj, z0, method="Powell", options=self.OPTIONS)
+            z, v = oracle.minimize(obj, z0)
+        assert _bits(z) == _bits(want.x), (z, want.x)
+        assert _bits(v) == _bits(want.fun), (v, want.fun)
+
+    KINDS = ["distinct", "tied", "scaled-1e6", "near-1e308"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_prox_objectives(self, kind):
+        # numeric_prox's objective at seeded draws, every penalty at each
+        # n = 1..8; at +-1e308 the quadratic term overflows or absorbs the
+        # unit steps, so the line searches' brackets fail there
+        rng = key_rng(29, self.KINDS.index(kind))
+        for n in range(1, 9):
+            thetas = [OrderStat(rank=r) for r in (1, 2, 3) if r <= n] + [McpSum(a=2.0, c=1.0)]
+            thetas += [EigGapMax()] if n >= 2 else []
+            # SmoothSep overflows everywhere at 1e308: 2000 iterations, kept to n <= 2
+            thetas += [SmoothSep(coeff=1.5)] if kind != "near-1e308" or n <= 2 else []
+            for theta in thetas:
+                x = rng.standard_normal(n)
+                if kind == "tied":
+                    x[: max(2, n // 2)] = x[0]
+                elif kind == "scaled-1e6":
+                    x *= 1e6
+                elif kind == "near-1e308":
+                    x = np.where(rng.random(n) < 0.5, -1e308, 1e308) * rng.uniform(0.5, 1.0, n)
+                gamma = float(rng.choice([0.1, 0.5, 2.0]))
+
+                def obj(w, theta=theta, x=x, gamma=gamma):
+                    return float(theta.value(w)) + float(np.vdot(w - x, w - x)) / (2.0 * gamma)
+
+                self.check(obj, x + 0.5 * gamma * rng.standard_normal(n))
+
+    @pytest.mark.parametrize(
+        "obj",
+        [lambda w: 1.0, lambda w: math.nan, lambda w: math.inf, lambda w: -float(np.sum(np.abs(w)))],
+        ids=["flat", "nan", "inf", "unbounded"],
+    )
+    def test_failed_brackets(self, obj):
+        # no bracket exists: flat, NaN and +inf objectives end where scipy's
+        # recovery puts them, and a descent without end runs off to inf
+        self.check(obj, np.array([0.3, -1.2]))

@@ -23,7 +23,6 @@ from specvar import (
     spec_to_json,
 )
 from conftest import key_rng
-from hull_lp import TIGHT, _hull_fit, lp_gqf_certificate
 
 ALL_KINDS = [OrderStat(rank=1), McpSum(a=2.0, c=1.0), EigGapMax(), SmoothSep(coeff=1.0)]
 
@@ -177,6 +176,9 @@ class TestSubgradients:
         # the closed-form simplex test against the sup-norm hull LP run with
         # HiGHS feasibility tolerances of 1e-10: at its defaults the LP blurs
         # residuals near tol = 1e-6 (seeds 6900 and 8675 disagree)
+        pytest.importorskip("scipy")  # the LP reference
+        from hull_lp import TIGHT, _hull_fit
+
         rng = key_rng(41, seed)
         n = int(rng.integers(2, 6))
         idx = np.sort(rng.choice(n, int(rng.integers(2, n + 1)), replace=False))
@@ -193,6 +195,9 @@ class TestSubgradients:
     def test_gap_hull_membership_matches_lp(self, seed):
         # the closed-form prefix-sum test against the sup-norm hull LP run
         # with HiGHS feasibility tolerances of 1e-10
+        pytest.importorskip("scipy")  # the LP reference
+        from hull_lp import TIGHT, _hull_fit
+
         rng = key_rng(43, seed)
         n = int(rng.integers(2, 9))
         idx = np.sort(rng.choice(n - 1, int(rng.integers(1, n)), replace=False))
@@ -707,6 +712,9 @@ class TestGqfClosedForm:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10_000), st.booleans())
     def test_matches_lp_certificate(self, seed, gaps):
+        pytest.importorskip("scipy")  # the LP reference
+        from hull_lp import TIGHT, lp_gqf_certificate
+
         f, x, verts, y = gqf_instance(key_rng(44, seed), gaps)
         cert = f.gqf_certificate(x, y)
         ref = lp_gqf_certificate(verts, y, TIGHT)
