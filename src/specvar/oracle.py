@@ -35,13 +35,14 @@ Stacked evaluation: the quotient estimators build each grid level's
 candidates (w first, then the ball draws) as one (S, ...) stack and form
 the points, norms, inner products, quotients and +inf masks on arrays;
 ExtReal wraps only each level's at-w value and minimum.  A callable whose
-``accepts_stack`` attribute is true (``spectral.lifted`` sets it) takes the
-whole stack in one call and returns one value per row; it must return
-exactly what separate calls would.  Any other callable is evaluated point
-by point.  Stacks hold at most STACK_FLOATS floats, so a large ``samples``,
+``accepts_stack`` attribute is true (``spectral.lifted`` and the penalties'
+``value`` set it) takes the whole stack in one call and returns one value
+per row; it must return exactly what separate calls would.  Any other
+callable is evaluated point by point.  Stacks hold at most STACK_FLOATS floats, so a large ``samples``,
 like the 2 dim neighbours that ``epi_attainment_search`` compares at a
 large n, is processed in chunks built one at a time.  argmin keeps the
-first of equal minima.
+first of equal minima.  ``numeric_prox`` runs its Powell searches in
+lockstep, with one such call per round for the next points of them all.
 """
 from __future__ import annotations
 
@@ -86,15 +87,68 @@ def minimize(fun, x0) -> tuple[np.ndarray, float]:
     return a float; it is never handed an array that the search goes on to
     use.
 
+    It runs one ``_powell`` search; ``numeric_prox`` runs several in lockstep.
+
     No divisor can be zero, so no Python float division raises where
     numpy's gave inf or NaN: Brent's parabolic step divides by ``tmp2``
     only inside its own bracket test ``tmp2 * (a - x) < p < tmp2 * (b - x)``,
     which no ``tmp2`` of 0 (or NaN) passes, and ``bracket`` divides by
     ``2 * val`` only where ``|val| >= 1e-21``, else by ``2e-21``.
     """
+    return _lockstep([x0], lambda pts: [fun(pts[0])])[0]
+
+
+def _lockstep(starts, objective) -> list:
+    """One ``_powell`` search from each start, run in rounds: each round
+    stacks the next point of every search still running into P, in start
+    order, and ``objective(P)`` returns their values.  A point on a line
+    is p + u xi, the same elementwise operations as the search's own; any
+    other point goes in as given.  Returns each search's (point, value);
+    an exception from a search or from ``objective`` ends the run."""
+    searches = [_powell(z0) for z0 in starts]
+    ends = [None] * len(searches)
+    live = list(range(len(searches)))  # the searches still running, in start order
+    values = [None] * len(live)  # each live search's last value, to send it
+    base = np.zeros((len(live), np.size(starts[0])))  # row r: live search r's line p + u xi
+    direc = np.zeros_like(base)
+    while True:
+        kept, steps, points = [], [], []
+        for r, i in enumerate(live):
+            try:
+                ask = searches[i].send(values[r])
+                while type(ask) is tuple:
+                    base[r], direc[r] = ask
+                    ask = searches[i].send(None)
+            except StopIteration as end:
+                ends[i] = end.value
+                continue
+            if isinstance(ask, np.ndarray):
+                points.append((len(kept), ask))
+                ask = 0.0
+            kept.append(r)
+            steps.append(ask)
+        if len(kept) < len(live):
+            live = [live[r] for r in kept]
+            base, direc = base[kept], direc[kept]
+        if not live:
+            return ends
+        pts = base + np.array(steps)[:, None] * direc
+        for r, z in points:  # as given: z + 0 xi would turn -0.0 into +0.0
+            pts[r] = z
+        values = objective(pts)
+
+
+def _powell(x0):
+    """One Powell search from x0 as a generator, returning (point, value).
+
+    It yields what it needs evaluated next and is sent that value: an
+    array is a point, a float u is the point p + u xi on its current line,
+    and a tuple (p, xi) sets that line and is sent None.  p and xi are the
+    search's own arrays, so a driver neither changes them nor hands them
+    to the objective; a yielded point is a fresh array."""
     x = np.array(x0, dtype=float).reshape(-1)
     direc = list(np.eye(x.size))
-    fval = fun(x.copy())
+    fval = yield x.copy()
     x1 = x
     it = 0
     while True:
@@ -103,7 +157,7 @@ def minimize(fun, x0) -> tuple[np.ndarray, float]:
         delta = 0.0
         for i in range(x.size):
             fx2 = fval
-            fval, x, _ = _line_search(fun, x, direc[i], fval)
+            fval, x, _ = yield from _line_search(x, direc[i], fval)
             if fx2 - fval > delta:
                 delta = fx2 - fval
                 bigind = i
@@ -115,7 +169,7 @@ def minimize(fun, x0) -> tuple[np.ndarray, float]:
         # the extrapolated point along the iteration's total move
         direc1 = x - x1
         x1 = x
-        fx2 = fun(x + direc1)
+        fx2 = yield x + direc1
         if fx > fx2:
             t = 2.0 * (fx + fx2 - 2.0 * fval)
             temp = fx - fval - delta
@@ -123,27 +177,29 @@ def minimize(fun, x0) -> tuple[np.ndarray, float]:
             temp = fx - fx2
             t -= delta * temp * temp
             if t < 0.0:
-                fval, x, direc1 = _line_search(fun, x, direc1, fval)
+                fval, x, direc1 = yield from _line_search(x, direc1, fval)
                 if direc1.any():
                     direc[bigind] = direc[-1]
                     direc[-1] = direc1
     return x, fval
 
 
-def _line_search(fun, p, xi, fval):
-    """scipy's unbounded ``_linesearch_powell``: the minimum of fun along
-    p + alpha xi, as (value, point, alpha xi)."""
+def _line_search(p, xi, fval):
+    """scipy's unbounded ``_linesearch_powell``: the minimum of the
+    objective along p + alpha xi, as (value, point, alpha xi)."""
     if not xi.any():
         return fval, p, xi
-    alpha, fret = _brent(lambda a: fun(p + a * xi), 100 * _XTOL)
+    yield p, xi
+    alpha, fret = yield from _brent(100 * _XTOL)
     xi = alpha * xi
     return fret, p + xi, xi
 
 
-def _brent(f, tol: float) -> tuple[float, float]:
+def _brent(tol: float):
     """scipy's ``Brent`` at 500 iterations from ``bracket``'s three points,
-    or ``_recover_from_bracket_error``'s point where no bracket was found."""
-    xa, xb, xc, fa, fb, fc = found = _bracket(f)
+    or ``_recover_from_bracket_error``'s point where no bracket was found,
+    yielding each step along the line."""
+    xa, xb, xc, fa, fb, fc = found = yield from _bracket()
     if not (
         ((fb < fc and fb <= fa) or (fb < fa and fb <= fc))
         and (xa < xb < xc or xc < xb < xa)
@@ -189,7 +245,7 @@ def _brent(f, tol: float) -> tuple[float, float]:
             u = x + tol1 if rat >= 0 else x - tol1
         else:
             u = x + rat
-        fu = f(u)
+        fu = yield u
         if fu > fx:
             if u < x:
                 a = u
@@ -209,15 +265,16 @@ def _brent(f, tol: float) -> tuple[float, float]:
     return x, fx
 
 
-def _bracket(f):
+def _bracket():
     """scipy's ``bracket`` from 0 and 1 at grow limit 110: three points
     (xa, xb, xc, fa, fb, fc) downhill from them, which ``_brent`` checks."""
     xa, xb = 0.0, 1.0
-    fa, fb = f(xa), f(xb)
+    fa = yield xa
+    fb = yield xb
     if fa < fb:
         xa, xb, fa, fb = xb, xa, fb, fa
     xc = xb + _GOLD * (xb - xa)
-    fc = f(xc)
+    fc = yield xc
     it = 0
     while fc < fb:
         tmp1 = (xb - xa) * (fb - fc)
@@ -230,25 +287,25 @@ def _bracket(f):
             raise OracleError("Powell's line search found no bracket in 1000 steps")
         it += 1
         if (w - xc) * (xb - w) > 0.0:
-            fw = f(w)
+            fw = yield w
             if fw < fc:
                 return xb, w, xc, fb, fw, fc
             if fw > fb:
                 return xa, xb, w, fa, fb, fw
             w = xc + _GOLD * (xc - xb)
-            fw = f(w)
+            fw = yield w
         elif (w - wlim) * (wlim - xc) >= 0.0:
             w = wlim
-            fw = f(w)
+            fw = yield w
         elif (w - wlim) * (xc - w) > 0.0:
-            fw = f(w)
+            fw = yield w
             if fw < fc:
                 xb, xc, fb, fc = xc, w, fc, fw
                 w = xc + _GOLD * (xc - xb)
-                fw = f(w)
+                fw = yield w
         else:
             w = xc + _GOLD * (xc - xb)
-            fw = f(w)
+            fw = yield w
         xa, xb, xc, fa, fb, fc = xb, xc, w, fb, fc, fw
     return xa, xb, xc, fa, fb, fc
 
@@ -290,7 +347,8 @@ def _ball_draws(w: np.ndarray, radius: float, normals, radii, count: int) -> np.
 
 def _evaluate(f, pts: np.ndarray) -> np.ndarray:
     """f at every point of the stack: one call when f declares
-    ``accepts_stack`` (as ``spectral.lifted`` does), else one per point."""
+    ``accepts_stack`` (as ``spectral.lifted`` and ``SymmetricFunction.value``
+    do), else one per point."""
     if getattr(f, "accepts_stack", False):
         return np.asarray(f(pts), dtype=float)
     return np.array([float(f(p)) for p in pts])
@@ -433,12 +491,23 @@ def numeric_second_subderivative(
         t = probe.t_grid[k]
         rad = probe.radius * t ** 1.5
         fv, inner = _level(f, x, w, t, rad, probe.samples, probe.seed, k, v)
-        if np.all(fv == f0) and np.any(inner != 0.0):
+        unmoved = bool(np.all(fv == f0))
+        if unmoved and np.any(inner != 0.0):
             raise OracleError(
                 f"quotient oracle cannot resolve the step t={t:g} at f(x)={f0:g}: every "
                 "f(x + t w') equals f(x) while some <v, w'> is not 0"
             )
         q = _masked((fv - f0 - t * inner) / (t * t / 2.0), fv)
+        # one unit in the last place of f(x) moves a quotient by `floor`; it
+        # must stay small beside the finite quotients, unless f never moved
+        # (then each quotient is -2 <v, w'> / t, all 0 past the check above)
+        floor = 2.0 * math.ulp(f0) / t / t  # t > 0, so neither divisor is 0
+        finite = np.abs(q[np.isfinite(q)])
+        if not unmoved and finite.size and floor > 1e-2 * (1.0 + finite.max()):
+            raise OracleError(
+                f"quotient oracle cannot resolve the step t={t:g} at f(x)={f0:g}: its float "
+                f"spacing moves a quotient by {floor:.3g}, past 1e-2 (1 + max |finite quotient|)"
+            )
         # argmin keeps the first of equal minima, as a strict < scan does
         return ProbeLevel(t=t, at_w=ExtReal(q[0]), minimum=ExtReal(q[np.argmin(q)]))
 
@@ -613,11 +682,18 @@ def numeric_prox(
     """Brute-force proximal point of f at a vector x with parameter gamma.
 
     Minimizes f(w) + ||w - x||^2 / (2 gamma) by derivative-free Powell
-    searches (``minimize``) from x and from ``restarts`` random starts
-    x + (gamma / 2) z, z drawn in turn from
-    default_rng(seed).standard_normal, and keeps the best.  Inputs that are
-    not 1-D raise ValueError; a matrix prox is the vector prox of its
-    spectrum (``spectral.spectral_prox``).
+    searches from x and from ``restarts`` random starts x + (gamma / 2) z,
+    z drawn in turn from default_rng(seed).standard_normal, and keeps the
+    first strictly best.  Inputs that are not 1-D raise ValueError; a
+    matrix prox is the vector prox of its spectrum
+    (``spectral.spectral_prox``).
+
+    The searches run in lockstep (``_lockstep``).  Each round evaluates
+    the objective once for the stack P of every live search's next point:
+    ``_evaluate(f, P)``, one call of f when f declares ``accepts_stack``,
+    plus the row dots of P - x (np.vdot's bits) over 2 gamma.  Every
+    search therefore evaluates, and ends at, exactly the points that
+    ``minimize`` gives it alone.
     """
     gamma = float(gamma)
     if not math.isfinite(gamma):
@@ -628,20 +704,23 @@ def numeric_prox(
     if xa.ndim != 1:
         raise ValueError(f"numeric_prox searches vectors only, got shape {xa.shape}")
 
-    def obj(wpt: np.ndarray) -> float:
-        return float(f(wpt)) + float(np.vdot(wpt - xa, wpt - xa)) / (2.0 * gamma)
-
     rng = np.random.default_rng(seed)
     starts = [xa]
     for _ in range(restarts):
         starts.append(xa + 0.5 * gamma * rng.standard_normal(xa.shape))
+
+    def objective(pts: np.ndarray) -> list:
+        d = pts - xa
+        dots = (d[:, None, :] @ d[:, :, None])[:, 0, 0]  # ddot's bits, as np.vdot's
+        return (_evaluate(f, pts) + dots / (2.0 * gamma)).tolist()
+
+    # near the float maximum Powell's line search overflows; such a
+    # search ends at a non-finite objective, which is never kept
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = _lockstep(starts, objective)
     best_z = None
     best_v = math.inf
-    for z0 in starts:
-        # near the float maximum Powell's line search overflows; such a
-        # search ends at a non-finite objective, which is never kept
-        with np.errstate(over="ignore", invalid="ignore"):
-            z, v = minimize(obj, z0)
+    for z, v in ends:
         if v < best_v:
             best_v, best_z = v, z
     if best_z is None:

@@ -290,6 +290,11 @@ class SymmetricFunction:
     polyhedral: bool = False
     name: str = ""
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "value" in vars(cls):  # the oracles may hand it a stack (oracle._evaluate)
+            cls.value.accepts_stack = True
+
     def value(self, x):
         """theta at a vector x of shape (n,), as a float, or at each row of
         an (S, n) stack, as an (S,) array: one formula reduces over the last

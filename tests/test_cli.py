@@ -919,6 +919,22 @@ class TestFuzz:
         else:
             assert out["in_critical_cone"] is out["definitional_member"] is True
 
+    def test_quotient_rounding_noise_exits_two(self, tmp_path):
+        # f(X) = 8.1e17 has a float spacing of 128, which moves a quotient by
+        # 2.6e8 at t = 1e-3 and 2.6e10 at t = 1e-4: SSUB printed oracle_d2
+        # -3.04e10 beside d2 = 0.347 with exit 0; now it names the step.
+        # The closed form still reads 0.347 (SEMIDERIV, no oracle)
+        x = write_json_matrix(tmp_path / "x.json", np.diag([3e8, 1e8, -5e8]).tolist())
+        h = write_json_matrix(tmp_path / "h.json", SPAN_H)
+        argv = ["--matrix", x, "--direction", h, "--theta", '{"name":"mcp","a":2,"c":1e9}']
+        code, doc, err = run_strict(["--command", "SSUB", *argv])
+        assert code == 2 and doc is None, err
+        assert "quotient oracle cannot resolve the step t=0.001 at f(x)=8.125e+17" in err
+        assert "Traceback" not in err and "Warning" not in err
+        code, doc, err = run_strict(["--command", "SEMIDERIV", *argv])
+        assert code == 0 and err == "", err
+        assert doc["outputs"]["second_semiderivative"] == 0.3466666666666673
+
     def test_numeric_prox_near_the_float_maximum_runs_clean(self, tmp_path):
         # Powell's line search overflowed in scipy at a spectrum of 1e308:
         # numpy warned, and -W error ended in a traceback with exit 1

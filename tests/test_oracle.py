@@ -560,3 +560,137 @@ class TestPowellMatchesScipy:
         # no bracket exists: flat, NaN and +inf objectives end where scipy's
         # recovery puts them, and a descent without end runs off to inf
         self.check(obj, np.array([0.3, -1.2]))
+
+
+def _sequential_prox(f, gamma, x, restarts, seed=0):
+    """numeric_prox one search at a time: ``minimize`` from each start in
+    start order, keeping the first strictly best objective."""
+    rng = np.random.default_rng(seed)
+    starts = [x] + [x + 0.5 * gamma * rng.standard_normal(x.shape) for _ in range(restarts)]
+
+    def obj(w):
+        return float(f(w)) + float(np.vdot(w - x, w - x)) / (2.0 * gamma)
+
+    best_z, best_v = None, math.inf
+    for z0 in starts:
+        with np.errstate(over="ignore", invalid="ignore"):
+            z, v = oracle.minimize(obj, z0)
+        if v < best_v:
+            best_v, best_z = v, z
+    if best_z is None:
+        raise OracleError("numeric_prox: every search ended at a non-finite objective")
+    return best_z, best_v
+
+
+def _outcome(call):
+    """The point's and objective's bits, or the OracleError's message."""
+    try:
+        z, v = call()
+    except OracleError as err:
+        return "OracleError", str(err)
+    return _bits(z), _bits(v)
+
+
+def _stacked(rows):
+    """A stack-declared objective from ``rows``, a function of an (S, n)
+    array that returns its S values."""
+
+    def f(w):
+        w = np.asarray(w, dtype=float)
+        return rows(w) if w.ndim == 2 else float(rows(w[None])[0])
+
+    f.accepts_stack = True
+    return f
+
+
+class TestLockstepSearch:
+    """numeric_prox runs its searches in lockstep, one objective call per
+    round for a stack-declared f; every search must evaluate the points,
+    and end at the point and objective, that it would alone."""
+
+    def check(self, f, gamma, x, restarts):
+        def prox(g):
+            res = numeric_prox(g, gamma, x, restarts=restarts)
+            return res.point, res.objective
+
+        stacked = _outcome(lambda: prox(f))
+        assert stacked == _outcome(lambda: prox(lambda w: f(w)))
+        assert stacked == _outcome(lambda: _sequential_prox(f, gamma, x, restarts))
+
+    KINDS = TestPowellMatchesScipy.KINDS
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_one_search_at_a_time(self, kind):
+        # the families of TestPowellMatchesScipy, two searches in lockstep each
+        rng = key_rng(30, self.KINDS.index(kind))
+        for n in range(1, 9):
+            thetas = [OrderStat(rank=r) for r in (1, 2, 3) if r <= n] + [McpSum(a=2.0, c=1.0)]
+            thetas += [EigGapMax()] if n >= 2 else []
+            thetas += [SmoothSep(coeff=1.5)] if kind != "near-1e308" or n <= 2 else []
+            for theta in thetas:
+                x = rng.standard_normal(n)
+                if kind == "tied":
+                    x[: max(2, n // 2)] = x[0]
+                elif kind == "scaled-1e6":
+                    x *= 1e6
+                elif kind == "near-1e308":
+                    x = np.where(rng.random(n) < 0.5, -1e308, 1e308) * rng.uniform(0.5, 1.0, n)
+                assert theta.value.accepts_stack is True
+                self.check(theta.value, float(rng.choice([0.1, 0.5, 2.0])), x, restarts=1)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            lambda w: np.full(len(w), math.inf),
+            lambda w: np.full(len(w), math.nan),
+            lambda w: -(w[:, None, :] @ w[:, :, None])[:, 0, 0],
+        ],
+        ids=["inf", "nan", "concave"],
+    )
+    def test_error_parity(self, rows):
+        # +inf and NaN objectives, and a concave one whose brackets run off
+        # to overflow, end every search at a non-finite objective
+        x = np.array([0.3, -1.2])
+        self.check(_stacked(rows), 1.0, x, restarts=1)
+        with pytest.raises(OracleError, match="every search ended at a non-finite objective"):
+            numeric_prox(_stacked(rows), 1.0, x, restarts=1)
+
+    def test_signed_zeros_reach_f(self):
+        # the start and the extrapolated points reach f as they are: p + 0 xi
+        # would turn a -0.0 into +0.0
+        x = np.array([-0.0, 1.0, -0.0, -0.0])
+        theta = EigGapMax()
+        seen, alone = [], []
+
+        def f(w):
+            seen.extend(row.tobytes() for row in w)
+            return theta.value(w)
+
+        f.accepts_stack = True
+
+        def g(w):
+            alone.append(w.tobytes())
+            return theta.value(w)
+
+        res = numeric_prox(f, 0.5, x, restarts=3)
+        z, v = _sequential_prox(g, 0.5, x, restarts=3)
+        assert seen[0] == x.tobytes()
+        assert sorted(seen) == sorted(alone)
+        assert (_bits(res.point), _bits(res.objective)) == (_bits(z), _bits(v))
+
+    def test_one_call_per_round(self):
+        # a stack-declared f gets every live search's point in one call
+        theta = OrderStat(rank=2)
+        rows = []
+
+        def f(w):
+            rows.append(len(w))
+            return theta.value(w)
+
+        f.accepts_stack = True
+        x = np.array([1.3, 0.7, 0.4, -0.6, -1.9])
+        res = numeric_prox(f, 0.5, x, restarts=10)
+        assert max(rows) <= 11 and rows[0] == 11
+        assert len(rows) * 4 < sum(rows)
+        z, v = _sequential_prox(theta.value, 0.5, x, restarts=10)
+        assert (_bits(res.point), _bits(res.objective)) == (_bits(z), _bits(v))
