@@ -24,6 +24,10 @@ uses radius * t^(3/2), the first-order one radius * t^2; both keep the
 sampling bias far below the quotient truncation error while still probing
 nearby directions.
 
+Inputs: every oracle checks its points with ``_points`` (vectors or
+square matrices, all of one shape) and its steps with ``_grid`` (finite,
+positive, strictly decreasing) before it evaluates f.
+
 Determinism: every estimator is a pure function of its inputs and seed.
 Grid level k draws from two generator streams of its own,
 default_rng([seed, k, 0]) for the normals and default_rng([seed, k, 1])
@@ -52,7 +56,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import OracleError
-from .extreal import POS_INF, ExtReal
+from .extreal import ExtReal
 from .record import Record, Value
 
 ATTAINMENT_TOL = 1e-2
@@ -152,7 +156,7 @@ def _powell(x0):
     x1 = x
     it = 0
     while True:
-        fx = fval
+        fx, start = fval, x
         bigind = 0
         delta = 0.0
         for i in range(x.size):
@@ -165,6 +169,10 @@ def _powell(x0):
         if 2.0 * (fx - fval) <= _FTOL * (abs(fx) + abs(fval)) + 1e-20:
             break
         if it >= _MAXITER or (math.isnan(fx) and math.isnan(fval)):
+            break
+        # +inf at both ends and x unmoved bit for bit: no direction changes
+        # (fx > fx2 gives t = NaN), so every later iteration repeats this one
+        if fx == fval == math.inf and x.tobytes() == start.tobytes():
             break
         # the extrapolated point along the iteration's total move
         direc1 = x - x1
@@ -310,17 +318,50 @@ def _bracket():
     return xa, xb, xc, fa, fb, fc
 
 
-def _as_point(x) -> np.ndarray:
-    a = np.asarray(x, dtype=float)
-    if a.ndim not in (1, 2):
+def _points(*pts) -> list[np.ndarray]:
+    """An oracle's points, in the order it takes them, as float arrays:
+    vectors or square matrices, all of one shape."""
+    arrays = [np.asarray(p, dtype=float) for p in pts]
+    shape = arrays[0].shape
+    if len(shape) not in (1, 2):
         raise ValueError("points must be vectors or square matrices")
-    if a.ndim == 2 and a.shape[0] != a.shape[1]:
+    if len(shape) == 2 and shape[0] != shape[1]:
         raise ValueError("matrix points must be square")
-    return a
+    for a in arrays:
+        if a.shape != shape:
+            raise ValueError(f"points must share one shape, got {shape} and {a.shape}")
+    return arrays
 
 
-def _inner(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.vdot(a, b))
+def _grid(ts, levels: int, name: str = "t_grid") -> tuple[float, ...]:
+    """Steps as floats: at least ``levels`` of them, finite, positive and
+    strictly decreasing; anything else raises OracleError naming ``name``."""
+    grid = tuple(float(t) for t in ts)
+    if len(grid) < levels:
+        raise OracleError(f"{name} needs at least {levels} levels, got {len(grid)}")
+    if not all(math.isfinite(t) for t in grid):
+        raise OracleError(f"{name} entries must be finite")
+    if not all(t > 0 for t in grid) or any(a <= b for a, b in zip(grid, grid[1:])):
+        raise OracleError(f"{name} must be strictly decreasing and positive")
+    return grid
+
+
+def _gamma(gamma) -> float:
+    """A prox parameter as a float: finite and positive."""
+    gamma = float(gamma)
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    return gamma
+
+
+def _base(f, x) -> float:
+    """f(x), which must not be infinite: x must lie in the domain of f."""
+    f0 = float(f(x))
+    if math.isinf(f0):
+        raise ValueError("base point must lie in the domain of f")
+    return f0
 
 
 def _free_dim(shape) -> int:
@@ -406,15 +447,7 @@ class QuotientProbe(Value):
         samples: int = 256,
         seed: int = 0,
     ):
-        grid = tuple(float(t) for t in t_grid)
-        if len(grid) < 2:
-            raise ValueError("t_grid needs at least two levels")
-        if not all(math.isfinite(t) for t in grid):
-            raise ValueError("t_grid entries must be finite")
-        if any(t <= 0 for t in grid) or any(
-            grid[i] <= grid[i + 1] for i in range(len(grid) - 1)
-        ):
-            raise ValueError("t_grid must be strictly decreasing and positive")
+        grid = _grid(t_grid, 2)
         if samples < 1:
             raise ValueError("samples must be at least 1")
         if not (math.isfinite(radius) and radius >= 0):
@@ -452,21 +485,15 @@ class ProbeResult(Record):
 
 
 def diff_quotient2(f, x, v, w, t: float) -> ExtReal:
-    """Single second-order difference quotient; +inf when x + t w leaves
-    the domain of f (signalled by f returning +inf)."""
-    x = _as_point(x)
-    w = _as_point(w)
-    v = _as_point(v)
-    t = float(t)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    f0 = float(f(x))
-    if math.isinf(f0):
-        raise ValueError("base point must lie in the domain of f")
-    fv = float(f(x + t * w))
-    if math.isinf(fv):
-        return POS_INF
-    return ExtReal((fv - f0 - t * _inner(v, w)) / (t * t / 2.0))
+    """Single second-order difference quotient: the at-w quotient of a
+    grid level whose one candidate is w (radius 0), formed as
+    ``numeric_second_subderivative`` forms it; +inf when x + t w leaves
+    the domain of f (signalled by f returning +-inf)."""
+    x, v, w = _points(x, v, w)
+    (t,) = _grid((t,), 1, "t")
+    f0 = _base(f, x)
+    fv, inner = _level(f, x, w, t, 0.0, 0, 0, 0, v)
+    return ExtReal(_masked((fv - f0 - t * inner) / (t * t / 2.0), fv)[0])
 
 
 def numeric_second_subderivative(
@@ -480,12 +507,8 @@ def numeric_second_subderivative(
     minima.  Only those two levels are evaluated here; the leading ones
     are evaluated on the first read of ``levels`` (see ProbeResult).
     """
-    x = _as_point(x)
-    w = _as_point(w)
-    v = _as_point(v)
-    f0 = float(f(x))
-    if math.isinf(f0):
-        raise ValueError("base point must lie in the domain of f")
+    x, v, w = _points(x, v, w)
+    f0 = _base(f, x)
 
     def level(k: int) -> ProbeLevel:
         t = probe.t_grid[k]
@@ -529,21 +552,14 @@ def numeric_subderivative(
     """Sampled lower envelope of first-order quotients
     [f(x + t w') - f(x)] / t over the grid levels and over w' near w
     (ball radius ``radius * t^2``)."""
-    x = _as_point(x)
-    w = _as_point(w)
-    f0 = float(f(x))
-    if math.isinf(f0):
-        raise ValueError("base point must lie in the domain of f")
-    best = None
-    for k, t in enumerate(t_grid):
-        t = float(t)
+    x, w = _points(x, w)
+    grid = _grid(t_grid, 1)
+    f0 = _base(f, x)
+    best = math.inf
+    for k, t in enumerate(grid):
         fv, _ = _level(f, x, w, t, radius * t * t, samples, seed, k)
         q = _masked((fv - f0) / t, fv)
-        q_min = q[np.argmin(q)]
-        if best is None or q_min < best:
-            best = q_min
-    if best is None:
-        raise OracleError("numeric_subderivative needs at least one grid level")
+        best = min(best, q[np.argmin(q)])  # the first of equal minima
     return ExtReal(best)
 
 
@@ -614,17 +630,12 @@ def epi_attainment_search(
     mismatch to be at most ATTAINMENT_TOL and the distances ||w_k - w|| to
     be nonincreasing over the last three levels.
     """
-    x = _as_point(x)
-    w = _as_point(w)
-    v = _as_point(v)
+    x, v, w = _points(x, v, w)
     target = float(target)
     if not math.isfinite(target):
         raise ValueError("attainment target must be finite")
-    if len(t_seq) < 3:
-        raise ValueError("need at least three levels to judge attainment")
-    f0 = float(f(x))
-    if math.isinf(f0):
-        raise ValueError("base point must lie in the domain of f")
+    t_seq = _grid(t_seq, 3, "t_seq")  # three levels judge the distances' trend
+    f0 = _base(f, x)
     n_moves = 2 * _free_dim(w.shape)
     moves = _search_moves(w.shape)
 
@@ -636,7 +647,6 @@ def epi_attainment_search(
     levels: list[AttainmentLevel] = []
     mismatch = math.inf
     for t in t_seq:
-        t = float(t)
         best = w.copy()
         q, m = mismatches(t, 1, lambda start, stop: best[None])
         q_best, mismatch = float(q[0]), float(m[0])
@@ -695,11 +705,7 @@ def numeric_prox(
     search therefore evaluates, and ends at, exactly the points that
     ``minimize`` gives it alone.
     """
-    gamma = float(gamma)
-    if not math.isfinite(gamma):
-        raise ValueError(f"gamma must be finite, got {gamma}")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    gamma = _gamma(gamma)
     xa = np.asarray(x, dtype=float)
     if xa.ndim != 1:
         raise ValueError(f"numeric_prox searches vectors only, got shape {xa.shape}")

@@ -63,7 +63,7 @@ import numpy as np
 
 from .errors import UnsupportedPointError
 from .extreal import POS_INF, ExtReal
-from .oracle import ProbeResult, QuotientProbe, numeric_second_subderivative
+from .oracle import ProbeResult, QuotientProbe, _grid, numeric_second_subderivative
 from .perturb import _rotate, _Rotated, eig_dir_derivative
 from .record import Record
 from .symmat import (
@@ -211,11 +211,8 @@ def subderivative_gap(
 ) -> float:
     """dg(X)(H) - <Y, H>; nonnegative up to rounding, and zero exactly on
     the critical cone.  This is the definition-level cone test the
-    structural one is equivalent to."""
-    es = _as_eigensystem(x, triple)
-    hm = as_sym_array(h)
-    dg = _subgradients(theta, es).support(_rotate(es, hm).dd)
-    return dg - float(np.vdot(triple.matrix.entries, hm))
+    structural one is equivalent to, read off ``_cone_tests``."""
+    return _cone_tests(theta, x, triple, h)[1]
 
 
 def _at(x, h, triple: SubgradientTriple | None = None) -> _Rotated:
@@ -528,19 +525,11 @@ def prox_directional_derivative(
     ``converged`` requires the last two extrapolants to agree entrywise to
     1e-4; expect failure where the prox map is not directionally
     differentiable and the quotients drift."""
-    if len(t_grid) < 3:
-        raise ValueError("t_grid needs at least three levels for extrapolation")
-    ts = [float(t) for t in t_grid]
-    if not all(math.isfinite(t) for t in ts):
-        raise ValueError("t_grid entries must be finite")
-    if any(t <= 0 for t in ts):
-        raise ValueError("t_grid must be strictly decreasing and positive")
+    ts = _grid(t_grid, 3)  # three levels give two extrapolants to compare
     ratios = {round(ts[k] / ts[k + 1], 9) for k in range(len(ts) - 1)}
     if len(ratios) != 1:
         raise ValueError("t_grid must be geometric")
     rho = ts[0] / ts[1]
-    if rho <= 1.0:
-        raise ValueError("t_grid must be decreasing")
     es = _as_eigensystem(x)
     da = as_sym_array(d)
     base = spectral_prox(theta, gamma, es).matrix.entries

@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import InvalidSubgradientError, UnsupportedPointError
 from .extreal import POS_INF, ExtReal
-from .oracle import numeric_prox
+from .oracle import _gamma, numeric_prox
 from .record import Record, Value
 from .symmat import tie_width
 
@@ -83,16 +83,6 @@ def _per_row(v):
     """A value reduced over the last axis: a float for a vector, the (S,)
     array for a stack."""
     return float(v) if v.ndim == 0 else v
-
-
-def _gamma(gamma) -> float:
-    """A prox parameter as a float, with ``numeric_prox``'s checks and messages."""
-    gamma = float(gamma)
-    if not math.isfinite(gamma):
-        raise ValueError(f"gamma must be finite, got {gamma}")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    return gamma
 
 
 def _tie_tol(x: np.ndarray) -> float:

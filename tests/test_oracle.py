@@ -1,6 +1,7 @@
 """Brute-force cross-checks: difference quotients, sampled first- and
 second-order estimates, the attainment search, and the numeric prox."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -438,6 +439,106 @@ def test_scalar_points_raise(call):
         call(lambda z: float(np.sum(z)))
 
 
+X_TIED = np.diag([1.0, 1.0, 0.0])
+H_SPLIT = np.diag([1.0, -1.0, 0.0])  # dg(X_TIED)(H_SPLIT) = 1 for OrderStat(1)
+STEP_TAKERS = {
+    "diff_quotient2": lambda f, x, v, w, ts: diff_quotient2(f, x, v, w, ts[0]),
+    "second_order": lambda f, x, v, w, ts: numeric_second_subderivative(
+        f, x, v, w, QuotientProbe(t_grid=ts, samples=2)
+    ),
+    "first_order": lambda f, x, v, w, ts: numeric_subderivative(f, x, w, t_grid=ts, samples=2),
+    "attainment": lambda f, x, v, w, ts: epi_attainment_search(
+        f, x, v, w, 1.0, t_seq=ts + (ts[-1] / 10,)
+    ),
+}
+
+
+class TestOneInputRule:
+    """Every oracle checks its points with ``_points`` and its steps with
+    ``_grid``, before f is evaluated, so a bad input is refused by name and
+    never read as a number or a numpy warning."""
+
+    def refused(self, call, match, error=ValueError):
+        f = counting(lifted(OrderStat(rank=1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=match):
+                call(f)
+        assert f.stacks == f.points == 0
+
+    @pytest.mark.parametrize("name", STEP_TAKERS)
+    def test_points_share_one_shape(self, name):
+        # a vector w at a matrix X was spread along the rows: the first-order
+        # oracle read 0.1 at diag(2, 1, 0) and w = (0.1, 0.2, 0.3)
+        x, vec = np.diag([2.0, 1.0, 0.0]), np.array([0.1, 0.2, 0.3])
+        odd = [(x, vec)] if name == "first_order" else [(x, vec), (vec, x)]  # (v, w)
+        for v, w in odd:
+            self.refused(
+                lambda f: STEP_TAKERS[name](f, x, v, w, (1e-3, 1e-4)),
+                r"points must share one shape, got \(3, 3\) and \(3,\)",
+            )
+
+    @pytest.mark.parametrize("name", STEP_TAKERS)
+    @pytest.mark.parametrize(
+        "steps", [(1e-3, 0.0), (-1e-4, -1e-5), (1e-3, math.nan)], ids=["zero", "negative", "nan"]
+    )
+    def test_steps_are_finite_positive_and_decreasing(self, name, steps):
+        # at the negative grid the first-order oracle read -1.0 where dg = 1,
+        # and a zero step in t_seq divided by zero
+        ts = steps[::-1] if name == "diff_quotient2" else steps  # its one step
+        label = {"diff_quotient2": "t", "attainment": "t_seq"}.get(name, "t_grid")
+        if any(map(math.isnan, steps)):
+            message = "entries must be finite"
+        else:
+            message = "must be strictly decreasing and positive"
+        self.refused(
+            lambda f: STEP_TAKERS[name](f, X_TIED, X_TIED, H_SPLIT, ts),
+            f"^{label} {message}$",
+            OracleError,
+        )
+
+    def test_levels_are_counted(self):
+        for call in (
+            lambda f: QuotientProbe(t_grid=(1e-3,)),
+            lambda f: numeric_subderivative(f, X_TIED, H_SPLIT, t_grid=()),
+            lambda f: epi_attainment_search(f, X_TIED, X_TIED, H_SPLIT, 1.0, t_seq=(1e-2, 1e-3)),
+        ):
+            self.refused(call, r"needs at least \d levels, got \d", OracleError)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            lifted(McpSum(a=2.0, c=1.0)),
+            lambda z: float(np.sum(np.asarray(z) ** 3)),
+            lambda z: math.inf if np.asarray(z)[0, 0] > 1.0 else float(np.sum(np.asarray(z) ** 2)),
+            lambda z: -math.inf if np.asarray(z)[0, 0] > 1.0 else float(np.sum(np.asarray(z) ** 2)),
+            lambda z: math.nan if np.asarray(z)[0, 0] > 1.0 else float(np.sum(np.asarray(z) ** 2)),
+        ],
+        ids=["lifted", "cubic", "leaves-domain", "minus-inf", "nan"],
+    )
+    def test_diff_quotient2_is_a_one_candidate_level(self, f):
+        rng = key_rng(31)
+        x = np.diag([1.0, 0.5, -0.2])
+        for k in range(8):
+            a, b = rng.standard_normal((2, 3, 3))
+            v, w = a + a.T, (-1.0) ** k * (b + b.T)  # w[0, 0] of both signs
+            for t in (1e-1, 1e-3):
+                probe = QuotientProbe(t_grid=(t, t / 10), radius=0.0, samples=1)
+                level = lambda: numeric_second_subderivative(f, x, v, w, probe).levels[0]
+                want = _outcome_or_error(lambda: level().at_w)
+                got = _outcome_or_error(lambda: diff_quotient2(f, x, v, w, t))
+                assert got == want
+
+
+def _outcome_or_error(call):
+    """An ExtReal's tag and bits, or the ValueError's message."""
+    try:
+        q = call()
+    except ValueError as err:
+        return str(err)
+    return q.tag, _bits(float(q))
+
+
 class TestNumericProx:
     def test_matches_mcp_closed_form(self):
         # one coordinate on each branch of the MCP prox, then all of them
@@ -498,6 +599,25 @@ class TestNumericProx:
     def test_non_finite_objective_raises(self):
         with pytest.raises(OracleError):
             numeric_prox(lambda z: math.inf, 1.0, np.zeros(2), restarts=1)
+
+    def test_infinite_objective_stops_when_an_iteration_repeats(self):
+        # each +inf line search keeps its point, so the first iteration that
+        # leaves x unmoved bit for bit is every later one: 1 + 2 x 3 calls
+        # (+ 1 + 2 x 3 while -0.0 turns +0.0), where 2000 iterations made 14000
+        calls = []
+
+        def f(z):
+            calls.append(z)
+            return math.inf
+
+        for start, end, count in (([0.3, -1.2], [0.3, -1.2], 7), ([-0.0, 1.0], [0.0, 1.0], 14)):
+            calls.clear()
+            z, v = oracle.minimize(f, np.array(start))
+            assert (_bits(z), v, len(calls)) == (_bits(end), math.inf, count)
+        calls.clear()
+        with pytest.raises(OracleError, match="every search ended at a non-finite objective"):
+            numeric_prox(f, 1.0, np.zeros(2), restarts=1)
+        assert len(calls) == 14
 
     def test_nan_objective_raises(self):
         # every line search's bracket holds NaN, so each search ends at NaN

@@ -14,6 +14,7 @@ from specvar import (
     ExtReal,
     InvalidSubgradientError,
     McpSum,
+    OracleError,
     OrderStat,
     QuotientProbe,
     SecondOrderReport,
@@ -808,6 +809,23 @@ class TestOnePerPoint:
                     seen.clear()
                     call()
                     assert sum(a is h for a in seen) == 1, (kind, call)
+
+    def test_subderivative_gap_is_the_cone_tests_gap(self):
+        # one definitional cone computation: subderivative_gap checks v and
+        # guards the squares of H as critical_cone_member does
+        x = np.diag([3.0, 2.0, 1.0])
+        h = random_symmetric(key_rng(48), 3)
+        theta = OrderStat(rank=1)
+        top = spectral_subgradient(theta, x)
+        for point in (x, top.es):
+            gap = subderivative_gap(theta, point, top, h)
+            assert repr(gap) == repr(spectral._cone_tests(theta, point, top, h)[1])
+        with pytest.raises(InvalidSubgradientError):
+            subderivative_gap(OrderStat(rank=2), x, top, h)
+        with pytest.raises(InvalidSubgradientError):
+            subderivative_gap(theta, x, SubgradientTriple(np.array([0.0, 1.0, 0.0]), top.es), h)
+        with pytest.raises(ValueError, match="scale 1e\\+200"):
+            subderivative_gap(theta, x, top, 1e200 * np.eye(3))
 
     def test_triple_of_another_penalty_or_point_is_checked(self):
         # the set a triple carries serves an equal penalty only; another
@@ -1604,8 +1622,8 @@ class TestProxDirectional:
         # a zero step divided by zero; negative steps gave backward
         # differences that read as converged
         for grid in ((1e-3, 0.0, 0.0), (-1e-3, -1e-4, -1e-5)):
-            with pytest.raises(ValueError, match="t_grid must be strictly decreasing and positive"):
+            with pytest.raises(OracleError, match="t_grid must be strictly decreasing and positive"):
                 prox_directional_derivative(SmoothSep(coeff=1.0), 1.0, x, x, t_grid=grid)
         for grid in ((np.inf, 1e-4, 1e-5), (1e-3, np.nan, 1e-5)):
-            with pytest.raises(ValueError, match="t_grid entries must be finite"):
+            with pytest.raises(OracleError, match="t_grid entries must be finite"):
                 prox_directional_derivative(SmoothSep(coeff=1.0), 1.0, x, x, t_grid=grid)
